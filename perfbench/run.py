@@ -3,7 +3,7 @@
 
 Run from the root of a stems checkout:
 
-    python3 perfbench/run.py --workload join_sim --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload join_sim --seed 1 --seconds 25 --trace 0
     python3 perfbench/run.py --self-test
 
 The first call configures and builds an optimized binary under
@@ -154,7 +154,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()

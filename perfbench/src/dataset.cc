@@ -95,6 +95,7 @@ Statement ChainJoinStatement() {
       "SELECT R.id, S.id, T.c FROM R, S, T "
       "WHERE R.a = S.a AND S.b = T.b AND R.k < $p AND T.c < $p";
   st.param_names = {"p"};
+  st.projection = {{0, 0}, {1, 0}, {2, 2}};
   // One parameter selects on both R and T, from 5% to 100% in 39 even
   // steps: per-query work varies smoothly over a range (~4x) wider than the
   // host's own speed swings, so no percentile can flip between modes.
@@ -146,6 +147,21 @@ const std::vector<std::string>& Reference::Expected(const QueryDraw& q) const {
 bool Reference::Check(const QueryDraw& q, std::vector<std::string> got) const {
   std::sort(got.begin(), got.end());
   return got == Expected(q);
+}
+
+bool ProjectionMatches(const Statement& stmt, const stems::RowView& row) {
+  if (row.num_columns() != stmt.projection.size()) return false;
+  const stems::Tuple& tuple = *row.tuple();
+  for (size_t i = 0; i < stmt.projection.size(); ++i) {
+    const auto [slot, column] = stmt.projection[i];
+    if (slot >= tuple.num_slots()) return false;
+    const stems::RowRef& base = tuple.component(slot).row;
+    if (base == nullptr || column >= base->num_values() ||
+        !(row.value(i) == base->value(column))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string WireRowKey(const std::vector<Value>& values,

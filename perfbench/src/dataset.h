@@ -69,6 +69,9 @@ struct Statement {
   /// Columns projected per FROM table, for statements that project every
   /// column in slot order (see WireRowKey); empty otherwise.
   std::vector<size_t> slot_widths;
+  /// For statements with an explicit projection: (FROM slot, column) of
+  /// each output column, in SELECT order (see ProjectionMatches).
+  std::vector<std::pair<int, size_t>> projection;
 
   stems::sql::SqlParams Params(size_t point) const;
 };
@@ -105,6 +108,11 @@ class Reference {
  private:
   std::map<std::pair<size_t, size_t>, std::vector<std::string>> expected_;
 };
+
+/// True when every output value of `row` is the column `stmt.projection`
+/// names of the composite tuple the row was made from. Reference::Check
+/// covers the tuple; this covers what the cursor hands the caller.
+bool ProjectionMatches(const Statement& stmt, const stems::RowView& row);
 
 /// Canonical key of a wire row of a statement that projects every column of
 /// each FROM table in slot order (`widths` = column count per slot).

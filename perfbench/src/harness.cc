@@ -25,6 +25,12 @@ double Quantile(std::vector<double> v, double q) {
 
 double Median(const std::vector<double>& v) { return Quantile(v, 0.5); }
 
+double Mean(const std::vector<double>& v) {
+  double sum = 0;
+  for (double x : v) sum += x;
+  return v.empty() ? 0 : sum / static_cast<double>(v.size());
+}
+
 void RequireTailSamples(const char* metric, size_t n, double q) {
   const double beyond = static_cast<double>(n) * (1.0 - q);
   if (beyond + 1e-9 < 10.0) {
@@ -102,6 +108,11 @@ void SpanRecorder::Reserve(size_t more) {
     spans_.reserve(2 * (spans_.size() + more));
   }
   if (open_.capacity() < open_.size() + more) open_.reserve(open_.size() + more);
+}
+
+void SpanRecorder::Preallocate(size_t n) {
+  Pretouch(&spans_, spans_.size() + n);
+  Reserve(4);
 }
 
 void SpanRecorder::Append(const SpanRecorder& other) {

@@ -3,6 +3,7 @@
 // and the metric table a run prints.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -24,6 +25,18 @@ inline double UsBetween(Clock::time_point a, Clock::time_point b) {
 /// empty.
 double Quantile(std::vector<double> v, double q);
 double Median(const std::vector<double>& v);
+/// Arithmetic mean; 0 when empty.
+double Mean(const std::vector<double>& v);
+
+/// setup_s from per-batch medians of repeated set-ups spread over a run: a
+/// batch's median drops its one-off stalls, and the mean over batches
+/// weighs the host's fast and slow phases by how long each lasted. A set-up
+/// does the same work every time, so its times gather at the host's two
+/// speeds (~1.5x apart); a median over all of them would jump from one
+/// speed to the other as the share of slow batches crosses one half.
+inline double SetupSeconds(const std::vector<double>& batch_medians) {
+  return Mean(batch_medians);
+}
 
 /// Fails the run unless `n` samples leave at least ten beyond quantile `q`
 /// (p90 needs 100 samples, p99 needs 1000): a tail with fewer samples behind
@@ -33,6 +46,26 @@ void RequireTailSamples(const char* metric, size_t n, double q);
 /// Resident set now / at its peak, in MiB (/proc/self/status).
 double RssMb();
 double PeakRssMb();
+
+/// Gives `v` room for `n` elements and touches that room, so the resident
+/// memory it will need is paid now: the traced run reads RSS after warm-up
+/// and again at the end, and engine.rss_growth_mb must not include the
+/// growth of the benchmark's own buffers.
+template <typename T>
+void Pretouch(std::vector<T>* v, size_t n) {
+  const size_t keep = v->size();
+  if (n <= keep) return;
+  v->resize(n);
+  v->resize(keep);  // keeps the capacity
+}
+
+/// Room for the queries one caller finishes in `seconds` at `mean_query_ms`
+/// (the warm-up's mean), with twice that for a host that speeds up.
+inline size_t QueryBound(double seconds, double mean_query_ms) {
+  return static_cast<size_t>(2 * seconds * 1e3 /
+                             std::max(mean_query_ms, 0.01)) +
+         1024;
+}
 
 /// Moves the calling thread round-robin over the CPUs it may run on, one
 /// step per `interval_ms`, when Tick() is called between operations. A
@@ -75,6 +108,8 @@ class SpanRecorder {
   /// Makes room for `more` spans, so recording them allocates nothing (the
   /// traced run counts allocations around spanned calls).
   void Reserve(size_t more);
+  /// Makes touched room for `n` more spans (see Pretouch).
+  void Preallocate(size_t n);
   /// Adds another recorder's spans (e.g. one per generator thread).
   void Append(const SpanRecorder& other);
 

@@ -2,6 +2,7 @@
 // caller prepares the chain join once, then binds, submits and drains it
 // one query at a time through the public Engine API.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -21,13 +22,14 @@ using stems::RunOptions;
 /// Queries run (and checked) before the measured phase; a count, not a
 /// time, so the traced run's counted queries are the same on every host.
 constexpr size_t kWarmupQueries = 40;
-/// The measured phase is cut into this many segments with a batch of
-/// engine set-ups before each and after the last; setup_s is the median of
-/// all of them. Batches spread over the run keep one slow host phase from
-/// deciding setup_s.
-constexpr size_t kSegments = 6;
+/// The measured phase is cut into segments of about this length, with a
+/// short batch of engine set-ups after each (and one before the first);
+/// setup_s is the mean of the batches' medians (SetupSeconds). One batch a
+/// second, each on the next CPU, samples the host's slow phases and every
+/// vCPU evenly.
+constexpr double kSegmentSeconds = 1.0;
 /// Wall time of one batch of repeated set-ups.
-constexpr double kSetupBatchSeconds = 0.07;
+constexpr double kSetupBatchSeconds = 0.015;
 /// Traced run: queries alternate between traced and untraced blocks of this
 /// size, so obs.trace_overhead compares neighbours in time.
 constexpr size_t kTraceBlock = 16;
@@ -138,16 +140,31 @@ class InProcessRun {
 
   void Run() {
     Setup();
+    double warmup_ms = 0;
     for (size_t i = 0; i < kWarmupQueries; ++i) {
       QueryTiming t;
       RunOne(NextDraw(), false, &t);
+      warmup_ms += t.latency_ms;
+    }
+    if (args_.trace) {
+      const size_t bound =
+          QueryBound(args_.seconds, warmup_ms / kWarmupQueries);
+      for (auto* v : {&latency_ms_, &first_row_ms_, &traced_latency_ms_,
+                      &bind_us_, &submit_us_, &cursor_ms_}) {
+        Pretouch(v, bound);
+      }
+      // Four spans per traced query; half the queries are traced.
+      out_->spans.Preallocate(2 * bound);
     }
     rss_after_warmup_mb_ = RssMb();
-    for (size_t segment = 0; segment < kSegments; ++segment) {
-      Measure(args_.seconds / kSegments);
+    const size_t segments = std::max<size_t>(
+        2, static_cast<size_t>(std::lround(args_.seconds / kSegmentSeconds)));
+    for (size_t segment = 0; segment < segments; ++segment) {
+      Measure(args_.seconds / static_cast<double>(segments));
       if (!args_.trace) SetupBatch(/*keep_last=*/false);
     }
     if (args_.trace) {
+      rss_growth_mb_ = RssMb() - rss_after_warmup_mb_;
       ReportLayers();
     } else {
       ReportEndToEnd();
@@ -159,12 +176,18 @@ class InProcessRun {
     data_ = MakeDataset(kSizes);
     SetupBatch(/*keep_last=*/true);
     reference_.Compute(engine_.get(), {stmt_});
+    size_t most_rows = 0;
+    for (size_t p = 0; p < stmt_.grid.size(); ++p) {
+      most_rows = std::max(most_rows, reference_.Expected({0, p}).size());
+    }
+    Pretouch(&rows_, most_rows);
   }
 
   /// Times engine start + table load + Prepare, over and over for
   /// kSetupBatchSeconds. With keep_last the final engine serves the run.
   void SetupBatch(bool keep_last) {
     SpanRecorder* spans = args_.trace ? &out_->spans : nullptr;
+    std::vector<double> batch;
     const Clock::time_point batch_start = Clock::now();
     while (MsBetween(batch_start, Clock::now()) < kSetupBatchSeconds * 1e3) {
       rotor_.Tick();
@@ -186,13 +209,14 @@ class InProcessRun {
                      prepared.status().ToString().c_str());
         std::exit(1);
       }
-      setup_s_.push_back(MsBetween(t0, t2) / 1e3);
+      batch.push_back(MsBetween(t0, t2) / 1e3);
       prepare_us_.push_back(UsBetween(t1, t2));
       if (keep_last) {
         prepared_ = std::move(prepared).Value();
         engine_ = std::move(engine);  // the previous one is destroyed untimed
       }
     }
+    setup_batch_s_.push_back(Median(batch));
     if (!rotate_queries_) rotor_.Release();
   }
 
@@ -241,7 +265,6 @@ class InProcessRun {
     if (counted) {
       // The benchmark's own containers must not allocate while counting.
       spans->Reserve(4);
-      rows_.reserve(reference_.Expected(draw).size());
       SetAllocCounting(true);
       before.allocs = ReadAllocCounts();
     }
@@ -269,7 +292,7 @@ class InProcessRun {
         stems::ResultCursor cursor = handle.cursor();
         while (std::optional<stems::RowView> row = cursor.NextRow()) {
           if (rows_.empty()) t_first = Clock::now();
-          rows_.push_back(row->tuple());
+          rows_.push_back(std::move(*row));
         }
         t_end = Clock::now();
         if (rows_.empty()) t_first = t_end;
@@ -298,8 +321,15 @@ class InProcessRun {
     if (ok) {
       std::vector<std::string> keys;
       keys.reserve(rows_.size());
-      for (const auto& tuple : rows_) keys.push_back(stems::ResultKey(*tuple));
-      if (!reference_.Check(draw, std::move(keys))) {
+      for (const stems::RowView& row : rows_) {
+        keys.push_back(stems::ResultKey(*row.tuple()));
+        if (ok && !ProjectionMatches(stmt_, row)) {
+          ok = false;
+          error = "projected values differ from their tuple: " +
+                  row.ToString();
+        }
+      }
+      if (ok && !reference_.Check(draw, std::move(keys))) {
         ok = false;
         error = "rows differ from the reference result set (" +
                 std::to_string(rows_.size()) + " rows, expected " +
@@ -395,7 +425,7 @@ class InProcessRun {
   void ReportEndToEnd() {
     Metrics& m = out_->metrics;
     RequireTailSamples("latency_ms.p90", latency_ms_.size(), 0.90);
-    m.Set("setup_s", Median(setup_s_), "s");
+    m.Set("setup_s", SetupSeconds(setup_batch_s_), "s");
     m.Set("latency_ms.p50", Quantile(latency_ms_, 0.50), "ms");
     m.Set("latency_ms.p90", Quantile(latency_ms_, 0.90), "ms");
     m.Set("first_row_ms.p50", Median(first_row_ms_), "ms");
@@ -418,7 +448,7 @@ class InProcessRun {
     m.Set("sql.bind_us.p50", Median(bind_us_), "us");
     m.Set("engine.submit_us.p50", Median(submit_us_), "us");
     m.Set("engine.cursor_ms.p50", Median(cursor_ms_), "ms");
-    m.Set("engine.rss_growth_mb", RssMb() - rss_after_warmup_mb_, "MiB");
+    m.Set("engine.rss_growth_mb", rss_growth_mb_, "MiB");
     m.Set("sim.events_per_query", Ratio(c.events, q), "count");
     m.Set("sim.events_per_routed", Ratio(c.events, routed), "count");
     m.Set("sim.virtual_ms_per_query", Ratio(c.virtual_us / 1e3, q), "ms");
@@ -473,7 +503,7 @@ class InProcessRun {
   std::optional<stems::PreparedQuery> prepared_;
   Reference reference_;
 
-  std::vector<double> setup_s_, prepare_us_;
+  std::vector<double> setup_batch_s_, prepare_us_;
   std::vector<double> latency_ms_, first_row_ms_;
   std::vector<double> traced_latency_ms_;
   std::vector<double> bind_us_, submit_us_, cursor_ms_;
@@ -481,11 +511,13 @@ class InProcessRun {
   uint64_t measured_rows_ = 0;
   uint64_t traced_routed_ = 0;
   double rss_after_warmup_mb_ = 0;
+  /// Read as the measured phase ends, before the report's own buffers.
+  double rss_growth_mb_ = 0;
   uint64_t next_query_id_ = 1;
   size_t measured_queries_ = 0;
   Counts counts_;
   WallSums wall_;
-  std::vector<stems::TuplePtr> rows_;  ///< reused result buffer
+  std::vector<stems::RowView> rows_;  ///< reused result buffer
   bool rotate_queries_;
   CpuRotor rotor_;
 };

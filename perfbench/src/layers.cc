@@ -13,7 +13,8 @@ struct LayerMetric {
   const char* unit;
 };
 
-/// The per-layer metrics every in-process traced run reports.
+/// The per-layer metrics every traced run reports; a workload fills the ones
+/// of the layers it drives.
 const LayerMetric kLayerMetrics[] = {
     {"error_rate", "ratio"},
     {"sql.prepare_us.p50", "us"},
@@ -31,6 +32,7 @@ const LayerMetric kLayerMetrics[] = {
     {"stem.builds_per_query", "count"},
     {"stem.probes_per_query", "count"},
     {"stem.matches_per_probe", "ratio"},
+    {"stem.builds_avoided_ratio", "ratio"},
     {"am.rows_read_per_result", "ratio"},
     {"am.index_probes_per_query", "count"},
     {"sm.pass_ratio", "ratio"},
@@ -46,6 +48,15 @@ const LayerMetric kLayerMetrics[] = {
     {"exec.worker_skew", "ratio"},
     {"exec.shard_lock_waits_per_query", "count"},
     {"exec.shard_lock_wait_share", "ratio"},
+    {"server.fetch_us.p50", "us"},
+    {"server.fetch_us.p99", "us"},
+    {"server.outside_fetch_us.p50", "us"},
+    {"server.fetches_per_query", "count"},
+    {"server.empty_fetch_frac", "ratio"},
+    {"server.queue_high_water", "count"},
+    {"server.queued_frac", "ratio"},
+    {"server.rejected_frac", "ratio"},
+    {"server.engine_ticks_per_query", "count"},
     {"obs.trace_overhead", "ratio"},
 };
 

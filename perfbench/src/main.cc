@@ -69,9 +69,10 @@ std::string UnfitBuild() {
   std::exit(2);
 }
 
-/// The correctness gate must catch a dropped row (and a duplicated one):
-/// runs one chain-join query, then checks the intact, the shortened and the
-/// padded result lists against the reference.
+/// The correctness gate must catch a dropped row (and a duplicated one, and
+/// a wrong projected value): runs one chain-join query, then checks the
+/// intact, the shortened and the padded result lists against the
+/// reference, and the rows against a projection that names another column.
 int SelfTestDropRow() {
   stems::Engine engine;
   LoadTables(MakeDataset({120, 120, 60, 40, 30}), &engine);
@@ -85,10 +86,17 @@ int SelfTestDropRow() {
       prepared.Value().Bind(stmt.Params(draw.point)).Submit(
           stems::RunOptions::Paper());
   if (!handle.ok()) return 1;
+  Statement misprojected = stmt;
+  misprojected.projection.back().second = 1;  // T.b where T.c is selected
   std::vector<std::string> keys;
+  // One mismatching row fails the query, so one is enough to catch it.
+  bool projected = true, misprojection_caught = false;
   stems::ResultCursor cursor = handle.Value().cursor();
   while (auto row = cursor.NextRow()) {
     keys.push_back(stems::ResultKey(*row->tuple()));
+    projected = projected && ProjectionMatches(stmt, *row);
+    misprojection_caught =
+        misprojection_caught || !ProjectionMatches(misprojected, *row);
   }
   if (keys.size() < 2) {
     std::fprintf(stderr, "self-test: query returned %zu rows\n", keys.size());
@@ -102,11 +110,15 @@ int SelfTestDropRow() {
   duplicated.push_back(keys.front());
   const bool dup_caught = !reference.Check(draw, duplicated);
   std::printf("self-test drop-row: %zu rows; intact %s, dropped row %s, "
-              "duplicated row %s\n",
-              keys.size(), intact ? "passes" : "FAILS",
+              "duplicated row %s, wrong projected value %s\n",
+              keys.size(), intact && projected ? "passes" : "FAILS",
               drop_caught ? "caught" : "MISSED",
-              dup_caught ? "caught" : "MISSED");
-  return intact && drop_caught && dup_caught ? 0 : 1;
+              dup_caught ? "caught" : "MISSED",
+              misprojection_caught ? "caught" : "MISSED");
+  return intact && projected && drop_caught && dup_caught &&
+                 misprojection_caught
+             ? 0
+             : 1;
 }
 
 }  // namespace

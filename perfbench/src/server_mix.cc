@@ -1,12 +1,11 @@
 // server_mix: a loopback stems::server::Server over a MultiQuery engine
-// (shared SteMs, §5) serving two tenants, driven open-loop at fixed rates.
+// (shared SteMs, §5) serving two tenants, driven closed-loop.
 //
-// Four generator threads, one connection each, share one fixed-rate
-// schedule: request i is due at t0 + i / rate and belongs to connection
-// i % 4. Each request is timed from its due time, not from when it was
-// sent, so a stall also counts against the requests queued behind it.
+// Four generator threads, one connection each (two per tenant), each send
+// one request at a time: Bind -> Submit -> Fetch to the end, as
+// Client::RunQuery does, then check the rows against the reference. A
+// request is timed from the Bind call until its last row.
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -29,37 +28,22 @@ using stems::server::ServerOptions;
 
 constexpr size_t kConnections = 4;
 const char* const kTenants[] = {"alpha", "beta"};
-/// Server set-ups timed before and again after the measured phases;
-/// setup_s is the median of all of them.
-constexpr size_t kSetupReps = 10;
-/// Fixed rate, well below saturation, at which latency_ms.* are measured.
-constexpr double kReferenceRate = 400;
-/// max_qps is the highest rate whose latency p99 stays within this limit
-/// and whose generator backlog does not grow. Calibrated once, then frozen:
-/// past saturation the open loop's p99 climbs to hundreds of ms, so the
-/// limit sits well above the unsaturated p99 and short host stalls.
-constexpr double kP99LimitMs = 20;
-/// max_qps search: log-space bisection over [lo, hi]; the final resolution,
-/// (hi/lo)^(1/2^steps) = 3.3%, is finer than the metric's bound.
-constexpr double kSearchLo = kReferenceRate;
-constexpr double kSearchHi = 8 * kReferenceRate;
-constexpr int kSearchSteps = 6;
-/// Every phase whose p99 counts has at least this many requests (ten
-/// beyond the p99).
-constexpr size_t kMinPhaseRequests = 1200;
-/// Shares of --seconds: the reference-rate phase and the whole search.
-constexpr double kReferenceShare = 0.3;
-constexpr double kSearchShare = 0.6;
-/// Requests at the reference rate that warm a fresh server before it is
-/// measured.
-constexpr size_t kWarmupRequests = 200;
-/// A phase stops early once the generator is this far behind: the requests
-/// behind it have missed the limit, so the phase has failed.
-constexpr double kAbortBacklogSeconds = 0.1;
-/// Interval at which the main thread scrapes Server::MetricsText().
-constexpr double kScrapeIntervalMs = 100;
-/// Traced run: requests alternate between traced and untraced blocks.
-constexpr size_t kTraceBlock = 64;
+/// Requests per connection run (and checked) before the measured phase.
+constexpr size_t kWarmupRequests = 50;
+/// The measured phase is cut into segments of about this length, with a
+/// batch of timed server set-ups after each; setup_s is the mean of the
+/// batches' medians (SetupSeconds).
+constexpr double kSegmentSeconds = 1.0;
+constexpr size_t kSetupsPerBatch = 3;
+/// Each connection reconnects after this many requests. The server keeps
+/// every portal a session binds until the session closes (about 1 KB a
+/// request), so without a session lifetime peak_rss_mb would grow with the
+/// number of requests the host managed to run. Closing the session drops
+/// the portals; the last session's share stays in peak_rss_mb.
+constexpr size_t kSessionRequests = 1000;
+/// Traced run: each connection alternates traced and untraced blocks of
+/// this many requests, so obs.trace_overhead compares neighbours in time.
+constexpr size_t kTraceBlock = 16;
 
 ServerOptions MakeServerOptions() {
   ServerOptions o;
@@ -86,22 +70,10 @@ struct Instance {
   }
 };
 
-/// Stops instances together: an idle server's engine loop parks for up to
-/// 250 ms before it sees the shutdown request.
-void StopAll(std::vector<std::unique_ptr<Instance>>* instances) {
-  std::vector<std::thread> stoppers;
-  for (auto& inst : *instances) {
-    stoppers.emplace_back([i = inst.get()] { i->Stop(); });
-  }
-  for (std::thread& t : stoppers) t.join();
-  instances->clear();
-}
-
-/// Everything one request saw, on the generator's clock.
+/// Everything one request saw, on its generator thread's clock.
 struct Sample {
-  double latency_ms = 0;    ///< due -> last row
-  double first_row_ms = 0;  ///< due -> first row
-  double late_ms = 0;       ///< due -> sent
+  double latency_ms = 0;    ///< Bind call -> last row
+  double first_row_ms = 0;  ///< Bind call -> first row
   double bind_us = 0;
   double submit_us = 0;
   double fetch_loop_ms = 0;
@@ -109,21 +81,23 @@ struct Sample {
   size_t rows = 0;
   size_t fetches = 0;
   size_t empty_fetches = 0;
-  bool sent = false;
   bool traced = false;
   bool ok = true;
 };
 
-struct Phase {
-  double rate = 0;
-  size_t requests = 0;
-  bool trace = false;
-  /// Stop issuing once the generator falls kAbortBacklogSeconds behind.
-  bool abort_on_backlog = false;
-  std::vector<Sample> samples;  ///< index = request number in the phase
-  size_t backlog_max = 0;
-  bool aborted = false;
-  double wall_s = 0;
+/// One connection's generator: its seeded draws and what it measured. The
+/// untraced run keeps two numbers a request, so the samples' own memory
+/// stays a small, steady share of peak_rss_mb.
+struct Generator {
+  Rng draws{0};
+  size_t sent = 0;  ///< requests sent so far (also the traced-block clock)
+  size_t session_requests = 0;  ///< requests on the current connection
+  uint64_t attempted = 0;
+  uint64_t failed = 0;
+  uint64_t rows = 0;
+  std::vector<double> latency_ms, first_row_ms;
+  std::vector<Sample> samples;  ///< every measured request, traced run only
+  SpanRecorder spans;
 };
 
 /// Counters the server publishes, read around the traced phase.
@@ -139,38 +113,63 @@ struct ServerCounters {
 class ServerMixRun {
  public:
   ServerMixRun(const RunArgs& args, RunResult* out)
-      : args_(args), out_(out), stmts_(ServerStatements()) {}
+      : args_(args), out_(out), stmts_(ServerStatements()),
+        gens_(kConnections) {}
 
   void Run() {
     Setup();
-    main_ = SetupBatch(/*keep_last=*/true);
+    main_ = StartInstance(args_.trace ? &out_->spans : nullptr, nullptr);
     Connect(main_.get());
-    Warm(main_.get());
-    rss_after_warmup_mb_ = RssMb();
+    // Warm-up: one connection at a time, checked, not measured.
+    double warmup_ms = 0;
+    for (size_t c = 0; c < kConnections; ++c) {
+      for (size_t i = 0; i < kWarmupRequests; ++i) {
+        const Sample s = OneRequest(c, false);
+        warmup_ms += s.latency_ms;
+        ++out_->attempted;
+        if (!s.ok) ++out_->failed;
+      }
+    }
 
-    Phase ref;
-    ref.rate = kReferenceRate;
-    ref.trace = args_.trace;
-    // The traced run spends all its time at the reference rate: the search
-    // adds no layer signal.
-    const double share = args_.trace ? 1.0 : kReferenceShare;
-    ref.requests = std::max(
-        kMinPhaseRequests,
-        static_cast<size_t>(share * args_.seconds * kReferenceRate));
+    ServerCounters before;
     if (args_.trace) {
-      const ServerCounters before = ReadCounters();
+      // The engine thread serves the connections in turn, so under the
+      // closed loop each one runs at about 1/kConnections of the
+      // one-at-a-time warm-up's pace.
+      const size_t bound =
+          QueryBound(args_.seconds, warmup_ms / kWarmupRequests);
+      for (Generator& g : gens_) {
+        Pretouch(&g.latency_ms, bound);
+        Pretouch(&g.first_row_ms, bound);
+        Pretouch(&g.samples, bound);
+        // Four spans per traced request (one fetch); half are traced.
+        g.spans.Preallocate(2 * bound);
+      }
+      rss_after_warmup_mb_ = RssMb();
+      before = ReadCounters();
       SetAllocCounting(true);
-      RunPhase(main_.get(), &ref);
+    }
+    const size_t segments = std::max<size_t>(
+        2, static_cast<size_t>(std::lround(args_.seconds / kSegmentSeconds)));
+    for (size_t segment = 0; segment < segments; ++segment) {
+      RunSegment(args_.seconds / static_cast<double>(segments));
+      if (!args_.trace) SetupBatch();
+    }
+    if (spare_stopper_.joinable()) spare_stopper_.join();
+    for (const Generator& g : gens_) {
+      out_->attempted += g.attempted;
+      out_->failed += g.failed;
+    }
+    if (out_->failed > 0) out_->correct = false;
+    if (args_.trace) {
       SetAllocCounting(false);
+      rss_growth_mb_ = RssMb() - rss_after_warmup_mb_;
       const ServerCounters after = ReadCounters();
       main_->Stop();
-      ReportLayers(ref, before, after);
+      ReportLayers(before, after);
     } else {
-      RunPhase(main_.get(), &ref);
       main_->Stop();
-      const double max_qps = SearchMaxQps();
-      SetupBatch(/*keep_last=*/false);
-      ReportEndToEnd(ref, max_qps);
+      ReportEndToEnd();
     }
   }
 
@@ -184,19 +183,15 @@ class ServerMixRun {
       LoadTables(data_, &ref_engine);
       reference_.Compute(&ref_engine, stmts_);
     }
-    Rng rng(args_.seed);
-    draws_.resize(1 << 16);
-    for (QueryDraw& d : draws_) {
-      d.stmt = static_cast<size_t>(
-          rng.Uniform(static_cast<int64_t>(stmts_.size())));
-      d.point = static_cast<size_t>(
-          rng.Uniform(static_cast<int64_t>(stmts_[d.stmt].grid.size())));
+    for (size_t c = 0; c < kConnections; ++c) {
+      gens_[c].draws = Rng(args_.seed * kConnections + c);
     }
   }
 
-  /// Engine start + table load + Server::Start; `timed` ones feed setup_s.
-  std::unique_ptr<Instance> StartInstance(bool timed) {
-    SpanRecorder* spans = timed && args_.trace ? &out_->spans : nullptr;
+  /// Engine start + table load + Server::Start, taking `*seconds` when
+  /// given.
+  std::unique_ptr<Instance> StartInstance(SpanRecorder* spans,
+                                          double* seconds) {
     auto inst = std::make_unique<Instance>();
     const Clock::time_point t0 = Clock::now();
     {
@@ -216,59 +211,65 @@ class ServerMixRun {
         std::exit(1);
       }
     }
-    if (timed) setup_s_.push_back(MsBetween(t0, Clock::now()) / 1e3);
+    if (seconds != nullptr) *seconds = MsBetween(t0, Clock::now()) / 1e3;
     return inst;
   }
 
-  /// Times kSetupReps set-ups; with keep_last the final one is returned to
-  /// serve the run and the others are stopped, untimed.
-  std::unique_ptr<Instance> SetupBatch(bool keep_last) {
+  /// Times a batch of server set-ups between segments. The spares are
+  /// stopped on a helper thread: an idle server's engine loop parks for up
+  /// to 250 ms before it sees the shutdown request, and that wait must not
+  /// eat into the measured segments.
+  void SetupBatch() {
+    if (spare_stopper_.joinable()) spare_stopper_.join();
     std::vector<std::unique_ptr<Instance>> spares;
-    for (size_t rep = 0; rep < kSetupReps; ++rep) {
-      spares.push_back(StartInstance(/*timed=*/true));
+    std::vector<double> batch(kSetupsPerBatch);
+    for (double& seconds : batch) {
+      spares.push_back(StartInstance(nullptr, &seconds));
     }
-    std::unique_ptr<Instance> kept;
-    if (keep_last) {
-      kept = std::move(spares.back());
-      spares.pop_back();
-    }
-    StopAll(&spares);
-    return kept;
+    setup_batch_s_.push_back(Median(batch));
+    spare_stopper_ = std::thread([spares = std::move(spares)] {
+      for (const auto& spare : spares) spare->Stop();
+    });
   }
 
   void Connect(Instance* inst) {
+    inst->clients.resize(kConnections);
     inst->stmt_ids.resize(kConnections);
     for (size_t c = 0; c < kConnections; ++c) {
-      auto client = std::make_unique<Client>();
-      const stems::Status st = client->Connect(
-          "127.0.0.1", inst->server->port(), kTenants[c * 2 / kConnections]);
-      if (!st.ok()) {
-        std::fprintf(stderr, "perfbench: Connect: %s\n",
-                     st.ToString().c_str());
-        std::exit(1);
-      }
-      for (const Statement& stmt : stmts_) {
-        const Clock::time_point t0 = Clock::now();
-        auto prepared = client->Prepare(stmt.sql);
-        prepare_us_.push_back(UsBetween(t0, Clock::now()));
-        if (!prepared.ok()) {
-          std::fprintf(stderr, "perfbench: Prepare %s: %s\n",
-                       stmt.name.c_str(),
-                       prepared.status().ToString().c_str());
-          std::exit(1);
-        }
-        inst->stmt_ids[c].push_back(prepared.Value().stmt_id);
-      }
-      inst->clients.push_back(std::move(client));
+      OpenSession(inst, c, &prepare_us_);
     }
   }
 
-  /// Requests at the reference rate that are checked but not measured.
-  void Warm(Instance* inst) {
-    Phase warm;
-    warm.rate = kReferenceRate;
-    warm.requests = kWarmupRequests;
-    RunPhase(inst, &warm);
+  /// Connects (or reconnects) connection `conn` as its tenant and prepares
+  /// every statement; Prepare round trips go to `prepare_us` when given.
+  void OpenSession(Instance* inst, size_t conn,
+                   std::vector<double>* prepare_us) {
+    if (inst->clients[conn] != nullptr) {
+      inst->clients[conn]->Close().IgnoreError();
+    }
+    auto client = std::make_unique<Client>();
+    const stems::Status st = client->Connect(
+        "127.0.0.1", inst->server->port(), kTenants[conn * 2 / kConnections]);
+    if (!st.ok()) {
+      std::fprintf(stderr, "perfbench: Connect: %s\n", st.ToString().c_str());
+      std::exit(1);
+    }
+    inst->stmt_ids[conn].clear();
+    for (const Statement& stmt : stmts_) {
+      const Clock::time_point t0 = Clock::now();
+      auto prepared = client->Prepare(stmt.sql);
+      if (prepare_us != nullptr) {
+        prepare_us->push_back(UsBetween(t0, Clock::now()));
+      }
+      if (!prepared.ok()) {
+        std::fprintf(stderr, "perfbench: Prepare %s: %s\n", stmt.name.c_str(),
+                     prepared.status().ToString().c_str());
+        std::exit(1);
+      }
+      inst->stmt_ids[conn].push_back(prepared.Value().stmt_id);
+    }
+    inst->clients[conn] = std::move(client);
+    gens_[conn].session_requests = 0;
   }
 
   ServerCounters ReadCounters() {
@@ -291,38 +292,41 @@ class ServerMixRun {
     return c;
   }
 
-  /// One request: Bind -> Submit -> Fetch to the end, then the row check.
-  Sample OneRequest(Instance* inst, size_t conn, size_t draw_index,
-                    Clock::time_point due, bool traced, SpanRecorder* spans) {
-    if (!traced) spans = nullptr;
-    Client* client = inst->clients[conn].get();
+  /// One request on connection `conn`: Bind -> Submit -> Fetch to the end,
+  /// then the row check.
+  Sample OneRequest(size_t conn, bool traced) {
+    Generator& g = gens_[conn];
+    SpanRecorder* spans = traced ? &g.spans : nullptr;
+    Client* client = main_->clients[conn].get();
     Sample s;
-    s.sent = true;
     s.traced = traced;
-    const QueryDraw draw = draws_[draw_index % draws_.size()];
+    QueryDraw draw;
+    draw.stmt = static_cast<size_t>(
+        g.draws.Uniform(static_cast<int64_t>(stmts_.size())));
+    draw.point = static_cast<size_t>(
+        g.draws.Uniform(static_cast<int64_t>(stmts_[draw.stmt].grid.size())));
     const Statement& stmt = stmts_[draw.stmt];
-    const uint64_t qid = draw_index + 1;
+    const uint64_t qid = (g.sent++) * kConnections + conn + 1;
     std::vector<std::string> keys;
     std::string error;
-    const Clock::time_point sent = Clock::now();
-    Clock::time_point first = sent, end = sent, fetch_start = sent;
+    const Clock::time_point start = Clock::now();
+    Clock::time_point first = start, end = start, fetch_start = start;
     {
       ScopedSpan query_span(spans, "query", qid);
-      Clock::time_point t = Clock::now();
       auto portal = [&] {
         ScopedSpan span(spans, "sql.bind", qid);
-        return client->Bind(inst->stmt_ids[conn][draw.stmt],
+        return client->Bind(main_->stmt_ids[conn][draw.stmt],
                             stmt.Params(draw.point));
       }();
-      s.bind_us = UsBetween(t, Clock::now());
+      Clock::time_point t = Clock::now();
+      s.bind_us = UsBetween(start, t);
       if (portal.ok()) {
-        t = Clock::now();
         auto submit = [&] {
           ScopedSpan span(spans, "engine.submit", qid);
           return client->Submit(portal.Value());
         }();
-        s.submit_us = UsBetween(t, Clock::now());
         fetch_start = Clock::now();
+        s.submit_us = UsBetween(t, fetch_start);
         if (!submit.ok()) error = submit.status().ToString();
         // Fetch to the end, as Client::RunQuery does: an empty, not-done
         // batch means the submit is queued behind its tenant's quota.
@@ -357,9 +361,8 @@ class ServerMixRun {
       end = Clock::now();
     }
     if (s.rows == 0) first = end;
-    s.latency_ms = MsBetween(due, end);
-    s.first_row_ms = MsBetween(due, first);
-    s.late_ms = MsBetween(due, sent);
+    s.latency_ms = MsBetween(start, end);
+    s.first_row_ms = MsBetween(start, first);
     s.fetch_loop_ms = MsBetween(fetch_start, end);
     if (error.empty() && !reference_.Check(draw, std::move(keys))) {
       error = "rows differ from the reference result set (" +
@@ -368,166 +371,82 @@ class ServerMixRun {
     }
     if (!error.empty()) {
       s.ok = false;
-      std::fprintf(stderr, "perfbench: request %zu (%s point %zu): %s\n",
-                   draw_index, stmt.name.c_str(), draw.point, error.c_str());
+      std::fprintf(stderr, "perfbench: request %llu (%s point %zu): %s\n",
+                   static_cast<unsigned long long>(qid), stmt.name.c_str(),
+                   draw.point, error.c_str());
     }
     return s;
   }
 
-  void GeneratorThread(Instance* inst, size_t conn, Phase* phase,
-                       Clock::time_point t0, std::atomic<size_t>* started,
-                       std::atomic<bool>* abort, size_t* backlog_max,
-                       SpanRecorder* spans) {
-    const std::chrono::duration<double> period(1.0 / phase->rate);
-    const size_t abort_backlog =
-        static_cast<size_t>(kAbortBacklogSeconds * phase->rate);
-    for (size_t i = conn; i < phase->requests; i += kConnections) {
-      const Clock::time_point due =
-          t0 + std::chrono::duration_cast<Clock::duration>(period * i);
-      std::this_thread::sleep_until(due);
-      // relaxed: a stop hint; RunPhase joins every thread before reading.
-      if (abort->load(std::memory_order_relaxed)) break;
-      // Backlog: requests already due that no connection has sent yet.
-      const double since =
-          std::chrono::duration<double>(Clock::now() - t0).count();
-      const size_t due_count = std::min(
-          phase->requests, static_cast<size_t>(since * phase->rate) + 1);
-      const size_t sent =
-          started->fetch_add(1, std::memory_order_relaxed) + 1;
-      const size_t backlog = due_count > sent ? due_count - sent : 0;
-      *backlog_max = std::max(*backlog_max, backlog);
-      if (phase->abort_on_backlog && backlog > abort_backlog) {
-        abort->store(true, std::memory_order_relaxed);
-      }
-      const bool traced = phase->trace && (i / kTraceBlock) % 2 == 0;
-      phase->samples[i] =
-          OneRequest(inst, conn, next_draw_ + i, due, traced, spans);
-    }
-  }
-
-  /// Runs one fixed-rate phase on all connections of `inst`; the main
-  /// thread scrapes the metrics endpoint meanwhile.
-  void RunPhase(Instance* inst, Phase* phase) {
-    phase->samples.assign(phase->requests, Sample{});
-    std::atomic<size_t> started{0};
-    std::atomic<bool> abort{false};
-    std::vector<SpanRecorder> spans(kConnections);
-    std::vector<size_t> backlog(kConnections, 0);
-    const Clock::time_point t0 = Clock::now() + std::chrono::milliseconds(5);
+  /// All connections run closed-loop for `seconds`; rows_per_s counts the
+  /// segment's wall time.
+  void RunSegment(double seconds) {
+    const Clock::time_point t0 = Clock::now();
+    const Clock::time_point deadline =
+        t0 + std::chrono::duration_cast<Clock::duration>(
+                 std::chrono::duration<double>(seconds));
     std::vector<std::thread> threads;
     for (size_t c = 0; c < kConnections; ++c) {
-      threads.emplace_back(&ServerMixRun::GeneratorThread, this, inst, c,
-                           phase, t0, &started, &abort, &backlog[c],
-                           &spans[c]);
-    }
-    const double phase_ms =
-        static_cast<double>(phase->requests) / phase->rate * 1e3;
-    const auto interval = std::chrono::microseconds(
-        static_cast<int64_t>(kScrapeIntervalMs * 1e3));
-    Clock::time_point next = t0;
-    while (MsBetween(t0, Clock::now()) + kScrapeIntervalMs < phase_ms &&
-           !abort.load(std::memory_order_relaxed)) {
-      next += interval;
-      std::this_thread::sleep_until(next);
-      const Clock::time_point s0 = Clock::now();
-      const std::string text = inst->server->MetricsText();
-      if (phase->trace) scrape_us_.push_back(UsBetween(s0, Clock::now()));
+      threads.emplace_back([this, c, deadline] {
+        Generator& g = gens_[c];
+        while (Clock::now() < deadline) {
+          const bool traced =
+              args_.trace && (g.sent / kTraceBlock) % 2 == 0;
+          const Sample s = OneRequest(c, traced);
+          ++g.attempted;
+          if (!s.ok) ++g.failed;
+          g.rows += s.rows;
+          g.latency_ms.push_back(s.latency_ms);
+          g.first_row_ms.push_back(s.first_row_ms);
+          if (args_.trace) g.samples.push_back(s);
+          if (++g.session_requests == kSessionRequests) {
+            OpenSession(main_.get(), c, nullptr);
+          }
+        }
+      });
     }
     for (std::thread& t : threads) t.join();
-    phase->wall_s = MsBetween(t0, Clock::now()) / 1e3;
-    phase->aborted = abort.load();
-    phase->backlog_max = *std::max_element(backlog.begin(), backlog.end());
-    if (phase->trace) {
-      for (const SpanRecorder& r : spans) out_->spans.Append(r);
-    }
-    next_draw_ += phase->requests;
-    for (const Sample& s : phase->samples) {
-      if (!s.sent) continue;
-      ++out_->attempted;
-      if (!s.ok) {
-        ++out_->failed;
-        out_->correct = false;
-      }
-    }
+    measured_s_ += MsBetween(t0, Clock::now()) / 1e3;
   }
 
-  static std::vector<double> Field(const Phase& p, double Sample::*field) {
-    std::vector<double> v;
-    v.reserve(p.samples.size());
-    for (const Sample& s : p.samples) {
-      if (s.sent) v.push_back(s.*field);
-    }
-    return v;
-  }
-
-  /// A rate counts when every request succeeded, the p99 meets the limit
-  /// and the generator's lateness stayed bounded (no growing backlog).
-  static bool Passes(const Phase& p) {
-    if (p.aborted) return false;
-    for (const Sample& s : p.samples) {
-      if (!s.ok) return false;
-    }
-    return Quantile(Field(p, &Sample::latency_ms), 0.99) <= kP99LimitMs &&
-           Quantile(Field(p, &Sample::late_ms), 0.99) <= kP99LimitMs;
-  }
-
-  /// Each step runs on a fresh, warmed server: an overloaded step leaves the
-  /// server slower for a while after, and must not decide the next step.
-  double SearchMaxQps() {
-    const double step_s = kSearchShare * args_.seconds / kSearchSteps;
-    double lo = kSearchLo, hi = kSearchHi;
-    std::vector<std::unique_ptr<Instance>> used;
-    for (int step = 0; step < kSearchSteps; ++step) {
-      used.push_back(StartInstance(/*timed=*/false));
-      Instance* inst = used.back().get();
-      Connect(inst);
-      Warm(inst);
-      Phase p;
-      p.rate = std::sqrt(lo * hi);
-      p.requests =
-          std::max(kMinPhaseRequests, static_cast<size_t>(p.rate * step_s));
-      p.abort_on_backlog = true;
-      RunPhase(inst, &p);
-      (Passes(p) ? lo : hi) = p.rate;
-    }
-    StopAll(&used);
-    return lo;
-  }
-
-  void ReportEndToEnd(const Phase& ref, double max_qps) {
-    const std::vector<double> lat = Field(ref, &Sample::latency_ms);
-    RequireTailSamples("latency_ms.p99", lat.size(), 0.99);
+  void ReportEndToEnd() {
+    std::vector<double> lat, first_row;
     double rows = 0;
-    for (const Sample& s : ref.samples) rows += static_cast<double>(s.rows);
+    for (const Generator& g : gens_) {
+      lat.insert(lat.end(), g.latency_ms.begin(), g.latency_ms.end());
+      first_row.insert(first_row.end(), g.first_row_ms.begin(),
+                       g.first_row_ms.end());
+      rows += static_cast<double>(g.rows);
+    }
+    RequireTailSamples("latency_ms.p90", lat.size(), 0.90);
     Metrics& m = out_->metrics;
-    m.Set("setup_s", Median(setup_s_), "s");
+    m.Set("setup_s", SetupSeconds(setup_batch_s_), "s");
     m.Set("latency_ms.p50", Quantile(lat, 0.50), "ms");
     m.Set("latency_ms.p90", Quantile(lat, 0.90), "ms");
-    m.Set("latency_ms.p99", Quantile(lat, 0.99), "ms");
-    m.Set("first_row_ms.p50", Median(Field(ref, &Sample::first_row_ms)),
-          "ms");
-    m.Set("rows_per_s", Ratio(rows, ref.wall_s), "1/s");
-    m.Set("max_qps", max_qps, "1/s");
+    m.Set("first_row_ms.p50", Median(first_row), "ms");
+    m.Set("rows_per_s", Ratio(rows, measured_s_), "1/s");
     m.Set("peak_rss_mb", PeakRssMb(), "MiB");
   }
 
-  void ReportLayers(const Phase& ref, const ServerCounters& before,
+  void ReportLayers(const ServerCounters& before,
                     const ServerCounters& after) {
     Metrics& m = out_->metrics;
     std::vector<double> traced_lat, plain_lat, bind, submit, fetch_loop,
         fetch_rtt;
     double fetches = 0, empty = 0, rows = 0, n = 0;
-    for (const Sample& s : ref.samples) {
-      if (!s.sent) continue;
-      (s.traced ? traced_lat : plain_lat).push_back(s.latency_ms);
-      bind.push_back(s.bind_us);
-      submit.push_back(s.submit_us);
-      fetch_loop.push_back(s.fetch_loop_ms);
-      fetch_rtt.push_back(s.fetch_us / static_cast<double>(s.fetches));
-      fetches += static_cast<double>(s.fetches);
-      empty += static_cast<double>(s.empty_fetches);
-      rows += static_cast<double>(s.rows);
-      ++n;
+    for (const Generator& g : gens_) {
+      for (const Sample& s : g.samples) {
+        (s.traced ? traced_lat : plain_lat).push_back(s.latency_ms);
+        bind.push_back(s.bind_us);
+        submit.push_back(s.submit_us);
+        fetch_loop.push_back(s.fetch_loop_ms);
+        fetch_rtt.push_back(s.fetch_us / static_cast<double>(s.fetches));
+        fetches += static_cast<double>(s.fetches);
+        empty += static_cast<double>(s.empty_fetches);
+        rows += static_cast<double>(s.rows);
+        ++n;
+      }
+      out_->spans.Append(g.spans);
     }
     const stems::server::TenantRollup& a = after.tenants;
     const stems::server::TenantRollup& b = before.tenants;
@@ -535,7 +454,8 @@ class ServerMixRun {
         static_cast<double>(a.queries_completed - b.queries_completed);
     const double submitted =
         static_cast<double>(a.queries_submitted - b.queries_submitted);
-    const double routed = static_cast<double>(a.tuples_routed - b.tuples_routed);
+    const double routed =
+        static_cast<double>(a.tuples_routed - b.tuples_routed);
     const double builds = static_cast<double>(after.builds - before.builds);
     const double probes = static_cast<double>(after.probes - before.probes);
     stems::obs::MetricsRegistry& reg = main_->engine->metrics_registry();
@@ -553,7 +473,7 @@ class ServerMixRun {
     m.Set("sql.bind_us.p50", Median(bind), "us");
     m.Set("engine.submit_us.p50", Median(submit), "us");
     m.Set("engine.cursor_ms.p50", Median(fetch_loop), "ms");
-    m.Set("engine.rss_growth_mb", RssMb() - rss_after_warmup_mb_, "MiB");
+    m.Set("engine.rss_growth_mb", rss_growth_mb_, "MiB");
     m.Set("sim.events_per_query", Ratio(events, all_completed), "count");
     m.Set("sim.events_per_routed",
           Ratio(events, static_cast<double>(a.tuples_routed)), "count");
@@ -597,25 +517,24 @@ class ServerMixRun {
           Ratio(static_cast<double>(after.engine_ticks - before.engine_ticks),
                 completed),
           "count");
-    m.Set("obs.scrape_us.p50", Median(scrape_us_), "us");
     m.Set("obs.trace_overhead", Ratio(Median(traced_lat), Median(plain_lat)),
           "ratio");
-    m.Set("gen.late_ms.p99", Quantile(Field(ref, &Sample::late_ms), 0.99),
-          "ms");
-    m.Set("gen.backlog_max", static_cast<double>(ref.backlog_max), "count");
     out_->layer_table = FinishLayerTable(args_.workload, out_->spans, &m);
   }
 
   const RunArgs& args_;
   RunResult* out_;
   std::vector<Statement> stmts_;
+  std::vector<Generator> gens_;
   Dataset data_;
   Reference reference_;
-  std::vector<QueryDraw> draws_;
-  std::unique_ptr<Instance> main_;  ///< serves warm-up and reference phase
-  std::vector<double> setup_s_, prepare_us_, scrape_us_;
+  std::unique_ptr<Instance> main_;  ///< serves warm-up and every segment
+  std::thread spare_stopper_;       ///< stops the last batch's spares
+  std::vector<double> setup_batch_s_, prepare_us_;
+  double measured_s_ = 0;
   double rss_after_warmup_mb_ = 0;
-  size_t next_draw_ = 0;  ///< position in the seeded draw sequence
+  /// Read as the measured phase ends, before the report's own buffers.
+  double rss_growth_mb_ = 0;
 };
 
 }  // namespace

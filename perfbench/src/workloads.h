@@ -34,10 +34,10 @@ struct RunResult {
 /// at a time.
 void RunInProcess(const RunArgs& args, RunResult* out);
 
-/// server_mix: loopback server, open-loop fixed-rate generator.
+/// server_mix: loopback server, closed loop on four connections.
 void RunServerMix(const RunArgs& args, RunResult* out);
 
-/// Fills every per-layer metric of the in-process workloads that `m` lacks
+/// Fills every per-layer metric that `m` lacks
 /// with 0 (the workload bypasses that layer) and renders the traced run's
 /// table: span self times, then the metrics grouped by layer.
 std::string FinishLayerTable(const std::string& workload,
