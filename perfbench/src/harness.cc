@@ -59,14 +59,24 @@ double StatusFieldMb(const char* field) {
 double RssMb() { return StatusFieldMb("VmRSS:"); }
 double PeakRssMb() { return StatusFieldMb("VmHWM:"); }
 
-CpuRotor::CpuRotor(double interval_ms) : interval_ms_(interval_ms) {
+namespace {
+
+/// The CPUs the calling thread may run on (empty if unknown).
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
   cpu_set_t set;
   CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) != 0) return;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
   for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (CPU_ISSET(cpu, &set)) cpus_.push_back(cpu);
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
   }
+  return cpus;
 }
+
+}  // namespace
+
+CpuRotor::CpuRotor(double interval_ms)
+    : cpus_(AllowedCpus()), interval_ms_(interval_ms) {}
 
 void CpuRotor::Tick() {
   if (cpus_.size() < 2) return;
@@ -88,6 +98,49 @@ void CpuRotor::Release() {
   for (int cpu : cpus_) CPU_SET(cpu, &set);
   sched_setaffinity(0, sizeof(set), &set);
   last_ = {};
+}
+
+namespace {
+
+constexpr int kChainSteps = 8192;
+constexpr int kChainRepsPerCpu = 5;
+
+/// One timed pass over the chain, in ns per step.
+double ChainNsPerStep() {
+  static volatile uint64_t sink;
+  const Clock::time_point t0 = Clock::now();
+  uint64_t x = sink | 1;
+  for (int i = 0; i < kChainSteps; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    x ^= x >> 17;
+  }
+  sink = x;
+  return UsBetween(t0, Clock::now()) * 1e3 / kChainSteps;
+}
+
+}  // namespace
+
+HostClock::HostClock() : cpus_(AllowedCpus()) {}
+
+double HostClock::NsPerStep() {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  const bool have_mask = sched_getaffinity(0, sizeof(saved), &saved) == 0;
+  std::vector<double> times;
+  // Best effort: a refused move times the CPU the thread is on.
+  for (size_t i = 0; i < std::max<size_t>(1, cpus_.size()); ++i) {
+    if (!cpus_.empty()) {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpus_[i], &one);
+      sched_setaffinity(0, sizeof(one), &one);
+    }
+    for (int rep = 0; rep < kChainRepsPerCpu; ++rep) {
+      times.push_back(ChainNsPerStep());
+    }
+  }
+  if (have_mask) sched_setaffinity(0, sizeof(saved), &saved);
+  return Median(times);
 }
 
 size_t SpanRecorder::Begin(const char* name, uint64_t query_id) {

@@ -88,6 +88,36 @@ class CpuRotor {
   Clock::time_point last_{};
 };
 
+/// The host's clock speed, read off a fixed chain of dependent integer
+/// steps: a multiply, an add, a shift and an xor each, a few cycles whatever
+/// the other cores run. On a shared VM the clock the vCPUs get drifts with
+/// the host's other tenants, by up to ~1.4x, in phases that can outlast a
+/// run, and every wall time moves with it. So the end-to-end timings are
+/// reported in reference-clock time: wall time x Factor(), i.e. the cycles
+/// a measurement took, in ms at a fixed clock. A cycle counter would give
+/// the same, but the VM exposes none. The chain is the benchmark's own code,
+/// so no change to the engine moves it.
+class HostClock {
+ public:
+  /// The reference clock: ns per chain step (about this host's usual
+  /// speed, so reference times read close to wall times there).
+  static constexpr double kReferenceNsPerStep = 2.25;
+
+  HostClock();
+  /// Times the chain a few times on every CPU the thread may run on
+  /// (moving the thread there, then restoring its CPU mask) and returns the
+  /// median ns per step. Call it while the workload is paused: a busy CPU
+  /// would time-share the chain.
+  double NsPerStep();
+  /// Reference time per wall time at `ns_per_step`.
+  static double Factor(double ns_per_step) {
+    return ns_per_step > 0 ? kReferenceNsPerStep / ns_per_step : 1;
+  }
+
+ private:
+  std::vector<int> cpus_;
+};
+
 /// Heap traffic counted by the benchmark binary's operator new, only while
 /// enabled (the traced run): the untraced run pays one relaxed load per
 /// allocation.

@@ -28,6 +28,9 @@ constexpr size_t kWarmupQueries = 40;
 /// second, each on the next CPU, samples the host's slow phases and every
 /// vCPU evenly.
 constexpr double kSegmentSeconds = 1.0;
+/// The untraced run reads the host clock this often, between queries, and
+/// scales the timings in between by the readings at both ends (HostClock).
+constexpr double kClockSeconds = 0.25;
 /// Wall time of one batch of repeated set-ups.
 constexpr double kSetupBatchSeconds = 0.015;
 /// Traced run: queries alternate between traced and untraced blocks of this
@@ -157,6 +160,7 @@ class InProcessRun {
       out_->spans.Preallocate(2 * bound);
     }
     rss_after_warmup_mb_ = RssMb();
+    if (!args_.trace) clock_ns_ = clock_.NsPerStep();
     const size_t segments = std::max<size_t>(
         2, static_cast<size_t>(std::lround(args_.seconds / kSegmentSeconds)));
     for (size_t segment = 0; segment < segments; ++segment) {
@@ -174,6 +178,7 @@ class InProcessRun {
  private:
   void Setup() {
     data_ = MakeDataset(kSizes);
+    if (!args_.trace) clock_ns_ = clock_.NsPerStep();
     SetupBatch(/*keep_last=*/true);
     reference_.Compute(engine_.get(), {stmt_});
     size_t most_rows = 0;
@@ -184,7 +189,8 @@ class InProcessRun {
   }
 
   /// Times engine start + table load + Prepare, over and over for
-  /// kSetupBatchSeconds. With keep_last the final engine serves the run.
+  /// kSetupBatchSeconds, at the clock last read. With keep_last the final
+  /// engine serves the run.
   void SetupBatch(bool keep_last) {
     SpanRecorder* spans = args_.trace ? &out_->spans : nullptr;
     std::vector<double> batch;
@@ -216,15 +222,29 @@ class InProcessRun {
         engine_ = std::move(engine);  // the previous one is destroyed untimed
       }
     }
-    setup_batch_s_.push_back(Median(batch));
+    setup_batch_s_.push_back(Median(batch) * HostClock::Factor(clock_ns_));
     if (!rotate_queries_) rotor_.Release();
   }
 
   /// Runs queries for `seconds`; the traced run alternates traced and
-  /// untraced blocks.
+  /// untraced blocks, the untraced run reads the host clock every
+  /// kClockSeconds.
   void Measure(double seconds) {
     const Clock::time_point start = Clock::now();
-    while (MsBetween(start, Clock::now()) < seconds * 1e3) {
+    Clock::time_point span_start = start;
+    size_t span_first = latency_ms_.size();
+    double span_measured_ms = measured_ms_;
+    while (true) {
+      const Clock::time_point now = Clock::now();
+      const bool done = MsBetween(start, now) >= seconds * 1e3;
+      if (!args_.trace &&
+          (done || MsBetween(span_start, now) >= kClockSeconds * 1e3)) {
+        ScaleToClock(span_first, span_measured_ms);
+        span_start = Clock::now();
+        span_first = latency_ms_.size();
+        span_measured_ms = measured_ms_;
+      }
+      if (done) break;
       const bool traced =
           args_.trace && (measured_queries_++ / kTraceBlock) % 2 == 0;
       QueryTiming t;
@@ -241,6 +261,21 @@ class InProcessRun {
       measured_ms_ += t.latency_ms;
       measured_rows_ += t.rows;
     }
+  }
+
+  /// Reads the host clock and scales the timings since `first` (and the
+  /// measured time since `measured_ms`) by the mean of this reading and
+  /// the previous one.
+  void ScaleToClock(size_t first, double measured_ms) {
+    const double ns = clock_.NsPerStep();
+    const double factor = HostClock::Factor((clock_ns_ + ns) / 2);
+    clock_ns_ = ns;
+    for (size_t i = first; i < latency_ms_.size(); ++i) {
+      latency_ms_[i] *= factor;
+      first_row_ms_[i] *= factor;
+    }
+    measured_ms_ = measured_ms + (measured_ms_ - measured_ms) * factor;
+    clock_factors_.push_back(factor);
   }
 
   QueryDraw NextDraw() {
@@ -433,6 +468,7 @@ class InProcessRun {
                               measured_ms_ / 1e3),
           "1/s");
     m.Set("peak_rss_mb", PeakRssMb(), "MiB");
+    out_->clock_factor = Median(clock_factors_);
   }
 
   void ReportLayers() {
@@ -510,6 +546,9 @@ class InProcessRun {
   double measured_ms_ = 0;
   uint64_t measured_rows_ = 0;
   uint64_t traced_routed_ = 0;
+  HostClock clock_;
+  double clock_ns_ = 0;  ///< the last clock reading (untraced run)
+  std::vector<double> clock_factors_;
   double rss_after_warmup_mb_ = 0;
   /// Read as the measured phase ends, before the report's own buffers.
   double rss_growth_mb_ = 0;

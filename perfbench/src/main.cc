@@ -183,7 +183,11 @@ int main(int argc, char** argv) {
       ", \"nproc\": " + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
       ", \"compiler\": " + JsonString(__VERSION__) +
       ", \"build_type\": " + JsonString(PERFBENCH_BUILD_TYPE) +
-      ", \"commit\": " + JsonString(commit) + "}";
+      ", \"commit\": " + JsonString(commit) +
+      (result.clock_factor > 0
+           ? ", \"clock_factor\": " + JsonNumber(result.clock_factor)
+           : std::string()) +
+      "}";
   if (args.trace) {
     if (!args.trace_out.empty()) {
       std::ofstream f(args.trace_out);

@@ -30,10 +30,14 @@ constexpr size_t kConnections = 4;
 const char* const kTenants[] = {"alpha", "beta"};
 /// Requests per connection run (and checked) before the measured phase.
 constexpr size_t kWarmupRequests = 50;
-/// The measured phase is cut into segments of about this length, with a
-/// batch of timed server set-ups after each; setup_s is the mean of the
-/// batches' medians (SetupSeconds).
-constexpr double kSegmentSeconds = 1.0;
+/// The measured phase is cut into segments of about this length. After
+/// each, with every connection idle, the untraced run reads the host clock
+/// and scales the segment's timings by the readings at both ends
+/// (HostClock); after every kSegmentsPerSetupBatch-th it also times a batch
+/// of server set-ups; setup_s is the mean of the batches' medians
+/// (SetupSeconds).
+constexpr double kSegmentSeconds = 0.25;
+constexpr size_t kSegmentsPerSetupBatch = 4;
 constexpr size_t kSetupsPerBatch = 3;
 /// Each connection reconnects after this many requests. The server keeps
 /// every portal a session binds until the session closes (about 1 KB a
@@ -149,11 +153,28 @@ class ServerMixRun {
       before = ReadCounters();
       SetAllocCounting(true);
     }
+    if (!args_.trace) clock_ns_ = clock_.NsPerStep();
     const size_t segments = std::max<size_t>(
         2, static_cast<size_t>(std::lround(args_.seconds / kSegmentSeconds)));
-    for (size_t segment = 0; segment < segments; ++segment) {
-      RunSegment(args_.seconds / static_cast<double>(segments));
-      if (!args_.trace) SetupBatch();
+    for (size_t segment = 1; segment <= segments; ++segment) {
+      std::vector<size_t> first;
+      for (const Generator& g : gens_) first.push_back(g.latency_ms.size());
+      const double seconds =
+          RunSegment(args_.seconds / static_cast<double>(segments));
+      if (args_.trace) continue;
+      const double ns = clock_.NsPerStep();
+      const double factor = HostClock::Factor((clock_ns_ + ns) / 2);
+      clock_ns_ = ns;
+      for (size_t c = 0; c < kConnections; ++c) {
+        Generator& g = gens_[c];
+        for (size_t i = first[c]; i < g.latency_ms.size(); ++i) {
+          g.latency_ms[i] *= factor;
+          g.first_row_ms[i] *= factor;
+        }
+      }
+      measured_s_ += seconds * factor;
+      clock_factors_.push_back(factor);
+      if (segment % kSegmentsPerSetupBatch == 0) SetupBatch();
     }
     if (spare_stopper_.joinable()) spare_stopper_.join();
     for (const Generator& g : gens_) {
@@ -215,7 +236,8 @@ class ServerMixRun {
     return inst;
   }
 
-  /// Times a batch of server set-ups between segments. The spares are
+  /// Times a batch of server set-ups between segments, at the clock last
+  /// read. The spares are
   /// stopped on a helper thread: an idle server's engine loop parks for up
   /// to 250 ms before it sees the shutdown request, and that wait must not
   /// eat into the measured segments.
@@ -226,7 +248,7 @@ class ServerMixRun {
     for (double& seconds : batch) {
       spares.push_back(StartInstance(nullptr, &seconds));
     }
-    setup_batch_s_.push_back(Median(batch));
+    setup_batch_s_.push_back(Median(batch) * HostClock::Factor(clock_ns_));
     spare_stopper_ = std::thread([spares = std::move(spares)] {
       for (const auto& spare : spares) spare->Stop();
     });
@@ -378,9 +400,9 @@ class ServerMixRun {
     return s;
   }
 
-  /// All connections run closed-loop for `seconds`; rows_per_s counts the
-  /// segment's wall time.
-  void RunSegment(double seconds) {
+  /// All connections run closed-loop for `seconds`; returns the segment's
+  /// wall time in seconds (rows_per_s counts it).
+  double RunSegment(double seconds) {
     const Clock::time_point t0 = Clock::now();
     const Clock::time_point deadline =
         t0 + std::chrono::duration_cast<Clock::duration>(
@@ -406,7 +428,7 @@ class ServerMixRun {
       });
     }
     for (std::thread& t : threads) t.join();
-    measured_s_ += MsBetween(t0, Clock::now()) / 1e3;
+    return MsBetween(t0, Clock::now()) / 1e3;
   }
 
   void ReportEndToEnd() {
@@ -426,6 +448,7 @@ class ServerMixRun {
     m.Set("first_row_ms.p50", Median(first_row), "ms");
     m.Set("rows_per_s", Ratio(rows, measured_s_), "1/s");
     m.Set("peak_rss_mb", PeakRssMb(), "MiB");
+    out_->clock_factor = Median(clock_factors_);
   }
 
   void ReportLayers(const ServerCounters& before,
@@ -531,6 +554,9 @@ class ServerMixRun {
   std::unique_ptr<Instance> main_;  ///< serves warm-up and every segment
   std::thread spare_stopper_;       ///< stops the last batch's spares
   std::vector<double> setup_batch_s_, prepare_us_;
+  HostClock clock_;
+  double clock_ns_ = 0;  ///< the last clock reading (untraced run)
+  std::vector<double> clock_factors_;
   double measured_s_ = 0;
   double rss_after_warmup_mb_ = 0;
   /// Read as the measured phase ends, before the report's own buffers.

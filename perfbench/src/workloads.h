@@ -24,6 +24,9 @@ struct RunResult {
   uint64_t failed = 0;
   /// End-to-end metrics (untraced run) or per-layer metrics (traced run).
   Metrics metrics;
+  /// Median HostClock::Factor over the untraced run's segments (0 in the
+  /// traced run); the run record carries it.
+  double clock_factor = 0;
   /// The traced run's per-layer self-time and count table.
   std::string layer_table;
   /// Spans of the traced run (written out at exit).
