@@ -47,6 +47,15 @@ conventions:
                    statistics read by nobody the checker cares about)
                    carry an allow(schedulable-atomic) suppression.
 
+  policy-by-name   No code under src/ compares a string with == or != to
+                   the name of a registered routing policy (a
+                   STEMS_REGISTER_POLICY name, in either its '_' or '-'
+                   spelling). Both executors consult the policy the
+                   PolicyRegistry creates; dispatching on the name
+                   instead re-implements a policy beside the registered
+                   one, and every other registered policy silently falls
+                   back to a default.
+
 Suppression (sparingly): a line, or the line above it, may carry
 `// invariant: allow(<rule>) -- <reason>`. The reason is mandatory.
 
@@ -94,6 +103,10 @@ ATOMIC_DOC_RE = re.compile(r"relaxed[-:]|sync:")
 WALL_CLOCK_DOC_RE = re.compile(r"//.*wall-clock:")
 ALLOW_RE = re.compile(r"//\s*invariant:\s*allow\(([a-z-]+)\)\s*--\s*\S")
 
+REGISTER_POLICY_RE = re.compile(r'STEMS_REGISTER_POLICY\(\s*"([^"]+)"')
+NAME_COMPARE_RE = re.compile(
+    r'(?:==|!=)\s*"([^"\\]*)"|"([^"\\]*)"\s*(?:==|!=)')
+
 NET_THREAD_MARKER = "--- network thread"
 ENGINE_THREAD_MARKER = "--- engine thread"
 
@@ -115,7 +128,20 @@ def allowed(lines, i, rule):
     return False
 
 
-def check_file(rel, lines, errors):
+def normalize_policy_name(name: str) -> str:
+    return name.replace("-", "_")
+
+
+def registered_policy_names():
+    """Canonical names of every STEMS_REGISTER_POLICY site under src/."""
+    names = set()
+    for path in REPO_ROOT.glob("src/**/*.cc"):
+        for m in REGISTER_POLICY_RE.finditer(path.read_text(encoding="utf-8")):
+            names.add(normalize_policy_name(m.group(1)))
+    return names
+
+
+def check_file(rel, lines, errors, policy_names):
     in_net_section = False
     for i, line in enumerate(lines):
         lineno = i + 1
@@ -197,6 +223,18 @@ def check_file(rel, lines, errors):
                 f"checker treats it as a preemption point, or add "
                 f"`// invariant: allow(schedulable-atomic) -- <reason>`")
 
+        # policy-by-name ------------------------------------------------
+        if rel.startswith("src/") and not is_comment(line):
+            for m in NAME_COMPARE_RE.finditer(line):
+                literal = m.group(1) if m.group(1) is not None else m.group(2)
+                if (normalize_policy_name(literal) in policy_names
+                        and not allowed(lines, i, "policy-by-name")):
+                    errors.append(
+                        f"{rel}:{lineno}: [policy-by-name] comparison with "
+                        f"the policy name \"{literal}\"; create the policy "
+                        f"through PolicyRegistry and consult it instead of "
+                        f"dispatching on its name")
+
 
 def check_nodiscard(errors):
     status_h = REPO_ROOT / "src/common/status.h"
@@ -213,6 +251,7 @@ def check_nodiscard(errors):
 def main():
     errors = []
     seen = set()
+    policy_names = registered_policy_names()
     for pattern in SOURCE_GLOBS:
         for path in sorted(REPO_ROOT.glob(pattern)):
             rel = path.relative_to(REPO_ROOT).as_posix()
@@ -220,7 +259,7 @@ def main():
                 continue
             seen.add(rel)
             lines = path.read_text(encoding="utf-8").splitlines()
-            check_file(rel, lines, errors)
+            check_file(rel, lines, errors, policy_names)
     check_nodiscard(errors)
 
     if errors:

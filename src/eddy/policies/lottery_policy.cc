@@ -14,28 +14,27 @@ STEMS_REGISTER_POLICY("lottery", [](const PolicyParams& p) {
   return std::make_unique<LotteryPolicy>(o);
 });
 
-double LotteryPolicy::StemWeight(const Stem& stem) const {
+double LotteryPolicy::StemWeight(const ProbeStats& stats, int slot) const {
   // Observed matches per probe: selective SteMs (fewer matches) win more
   // tickets, since probing them first shrinks intermediate results.
-  const double probes =
-      static_cast<double>(stem.probes_processed()) + 1.0;
-  const double matches = static_cast<double>(stem.matches_emitted());
+  const double probes = static_cast<double>(stats.probes(slot)) + 1.0;
+  const double matches = static_cast<double>(stats.matches(slot));
   const double selectivity = matches / probes;
   double weight = 1.0 / (0.1 + selectivity);
   // Backpressure: long queues lose tickets.
-  weight /= std::pow(1.0 + static_cast<double>(stem.queue_length()),
+  weight /= std::pow(1.0 + static_cast<double>(stats.queue_length(slot)),
                      options_.queue_penalty);
   return weight < options_.min_weight ? options_.min_weight : weight;
 }
 
 int LotteryPolicy::ChooseProbeSlot(const Tuple& /*tuple*/,
-                                   const std::vector<int>& candidates) {
+                                   const std::vector<int>& candidates,
+                                   const ProbeStats& stats) {
   double total = 0;
   std::vector<double> weights;
   weights.reserve(candidates.size());
   for (int slot : candidates) {
-    const Stem* stem = eddy_->StemForSlot(slot);
-    const double w = stem != nullptr ? StemWeight(*stem) : options_.min_weight;
+    const double w = StemWeight(stats, slot);
     weights.push_back(w);
     total += w;
   }

@@ -28,14 +28,15 @@ class LotteryPolicy : public PolicyBase {
 
   const char* name() const override { return "lottery"; }
 
+  int ChooseProbeSlot(const Tuple& tuple, const std::vector<int>& candidates,
+                      const ProbeStats& stats) override;
+
  protected:
-  int ChooseProbeSlot(const Tuple& tuple,
-                      const std::vector<int>& candidates) override;
   IndexAm* ChooseIndexAm(const Tuple& tuple,
                          const std::vector<IndexAm*>& ams) override;
 
  private:
-  double StemWeight(const Stem& stem) const;
+  double StemWeight(const ProbeStats& stats, int slot) const;
 
   LotteryPolicyOptions options_;
   Rng rng_;

@@ -9,7 +9,8 @@ STEMS_REGISTER_POLICY("nary_shj", [](const PolicyParams& p) {
 });
 
 int NaryShjPolicy::ChooseProbeSlot(const Tuple& /*tuple*/,
-                                   const std::vector<int>& candidates) {
+                                   const std::vector<int>& candidates,
+                                   const ProbeStats& /*stats*/) {
   for (int preferred : probe_order_) {
     for (int c : candidates) {
       if (c == preferred) return c;

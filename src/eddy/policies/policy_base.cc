@@ -4,6 +4,37 @@
 
 namespace stems {
 
+namespace {
+
+/// The sim's stats context: each slot's SteM, as the eddy sees it.
+class StemProbeStats final : public ProbeStats {
+ public:
+  explicit StemProbeStats(const Eddy& eddy) : eddy_(eddy) {}
+
+  uint64_t probes(int slot) const override {
+    return stem(slot).probes_processed();
+  }
+  uint64_t matches(int slot) const override {
+    return stem(slot).matches_emitted();
+  }
+  double mean_cost(int slot) const override {
+    return stem(slot).stats().MeanLatency();
+  }
+  size_t queue_length(int slot) const override {
+    return stem(slot).queue_length();
+  }
+  SimTime spill_cost(int slot) const override {
+    return stem(slot).ExpectedProbeSpillCost();
+  }
+
+ private:
+  const Stem& stem(int slot) const { return *eddy_.StemForSlot(slot); }
+
+  const Eddy& eddy_;
+};
+
+}  // namespace
+
 RouteDecision PolicyBase::Route(const TuplePtr& tuple) {
   if (tuple->is_seed()) return RouteDecision::Retire();
 
@@ -36,14 +67,16 @@ RouteDecision PolicyBase::Route(const TuplePtr& tuple) {
   // table also spawns the reverse-direction clone.
   MaybeSpawnRetargetClone(tuple);
 
-  const std::vector<int> candidates = ProbeCandidates(*tuple);
+  std::vector<int>& candidates = candidates_scratch_;
+  ProbeCandidates(eddy_->query(), eddy_->join_graph(), *tuple, &candidates);
   if (candidates.empty()) {
     // Nothing left to probe: every result this tuple contributes to will be
     // generated by later-arriving tuples probing the SteMs that hold its
     // components.
     return RouteDecision::Retire();
   }
-  const int target = ChooseProbeSlot(*tuple, candidates);
+  const int target =
+      ChooseProbeSlot(*tuple, candidates, StemProbeStats(*eddy_));
   Stem* stem = eddy_->StemForSlot(target);
   assert(stem != nullptr);
   return RouteDecision::Send(stem, RouteIntent::kProbe, target,
@@ -145,26 +178,29 @@ RouteDecision PolicyBase::RoutePriorProber(const TuplePtr& tuple) {
   return RouteDecision::Park(cslot);
 }
 
-std::vector<int> PolicyBase::ProbeCandidates(const Tuple& tuple) const {
-  const QuerySpec& query = eddy_->query();
-  const JoinGraph& graph = eddy_->join_graph();
-  std::vector<int> connected, unconnected;
-  for (int s = 0; s < static_cast<int>(query.num_slots()); ++s) {
-    if (tuple.Spans(s)) continue;
-    if (tuple.probed_stems() & (1ULL << s)) continue;
-    if (eddy_->StemForSlot(s) == nullptr) continue;
-    bool adjacent = false;
+void PolicyBase::ProbeCandidates(const QuerySpec& query,
+                                 const JoinGraph& graph, const Tuple& tuple,
+                                 std::vector<int>* out) {
+  out->clear();
+  const int num_slots = static_cast<int>(query.num_slots());
+  const auto open = [&tuple](int s) {
+    return !tuple.Spans(s) && !(tuple.probed_stems() & (1ULL << s));
+  };
+  for (int s = 0; s < num_slots; ++s) {
+    if (!open(s)) continue;
     for (int nbr : graph.Neighbors(s)) {
       if (tuple.Spans(nbr)) {
-        adjacent = true;
+        out->push_back(s);
         break;
       }
     }
-    (adjacent ? connected : unconnected).push_back(s);
   }
   // Prefer join-connected probes; fall back to cross products only when the
   // query graph forces them.
-  return connected.empty() ? unconnected : connected;
+  if (!out->empty()) return;
+  for (int s = 0; s < num_slots; ++s) {
+    if (open(s)) out->push_back(s);
+  }
 }
 
 IndexAm* PolicyBase::ChooseIndexAm(const Tuple& /*tuple*/,

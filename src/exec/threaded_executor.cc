@@ -10,10 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "eddy/policies/policy_base.h"
 #include "eddy/tuple_batch.h"
 #include "engine/run_options.h"
 #include "exec/limit_gate.h"
-#include "exec/morsel_router.h"
 #include "exec/sharded_stem.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -37,12 +37,50 @@ struct SourceChunk {
   size_t end;
 };
 
+/// A worker's routing statistics, fed only by its own probes: statistics
+/// move to the workers, never the other way. A probe's cost is the entries
+/// it scanned; nothing queues or spills on this path.
+class WorkerProbeStats final : public ProbeStats {
+ public:
+  explicit WorkerProbeStats(size_t num_slots = 0) : slots_(num_slots) {}
+
+  void Record(int slot, uint64_t scanned, uint64_t matches) {
+    Slot& s = slots_[static_cast<size_t>(slot)];
+    ++s.probes;
+    s.scanned += scanned;
+    s.matches += matches;
+  }
+
+  uint64_t probes(int slot) const override { return at(slot).probes; }
+  uint64_t matches(int slot) const override { return at(slot).matches; }
+  double mean_cost(int slot) const override {
+    const Slot& s = at(slot);
+    return s.probes == 0 ? 0.0
+                         : static_cast<double>(s.scanned) /
+                               static_cast<double>(s.probes);
+  }
+  size_t queue_length(int /*slot*/) const override { return 0; }
+  SimTime spill_cost(int /*slot*/) const override { return 0; }
+
+ private:
+  struct Slot {
+    uint64_t probes = 0;
+    uint64_t scanned = 0;
+    uint64_t matches = 0;
+  };
+  const Slot& at(int slot) const { return slots_[static_cast<size_t>(slot)]; }
+
+  std::vector<Slot> slots_;
+};
+
 }  // namespace
 
 struct ThreadPoolExecutor::WorkerState {
   WorkerCounters counters;
   std::vector<TuplePtr> results;
-  std::unique_ptr<MorselRouter> router;
+  /// This worker's instance of the registered policy (docs/parallelism.md).
+  std::unique_ptr<PolicyBase> policy;
+  WorkerProbeStats stats;
   std::vector<TuplePtr> cascade_stack;
   std::vector<int> candidates_scratch;
   std::vector<int> passed_scratch;
@@ -71,7 +109,6 @@ struct ThreadPoolExecutor::RunState {
   uint64_t full_mask = 0;
   uint64_t all_preds_mask = 0;
   std::vector<std::vector<const Predicate*>> selections;  ///< per slot
-  std::vector<std::vector<int>> neighbors;                ///< per slot
 
   /// The LIMIT admission race + drain flags (exec/limit_gate.h) — the
   /// protocol object the schedule-exploration harness drives directly.
@@ -108,12 +145,8 @@ Status ThreadPoolExecutor::ValidateSupported(const QuerySpec& query,
                                              const RunOptions& options) {
   // Options outside the envelope. Each of these exists to model behaviour
   // the wall-clock dataflow deliberately does not reproduce; see
-  // docs/parallelism.md for the rationale per item.
-  if (options.share_stems) {
-    return Status::Unsupported(
-        "threaded executor: cross-query SteM sharing (share_stems) is "
-        "sim-only");
-  }
+  // docs/parallelism.md for the rationale per item. (share_stems is
+  // already an invalid argument to RunOptions::Validate.)
   const size_t budget = options.memory_budget_entries != 0
                             ? options.memory_budget_entries
                             : options.exec.eddy.memory.global_entry_budget;
@@ -197,31 +230,10 @@ void ThreadPoolExecutor::Cascade(RunState* state, WorkerState* ws,
       AdmitResult(state, ws, std::move(t));
       continue;
     }
-    // Probe candidates exactly as the sim's routing skeleton: unspanned
-    // slots join-connected to the span, falling back to every unspanned
-    // slot for cross products.
     auto& candidates = ws->candidates_scratch;
-    candidates.clear();
-    for (int s = 0; s < static_cast<int>(query.num_slots()); ++s) {
-      if (t->Spans(s)) {
-        for (int n : state->neighbors[static_cast<size_t>(s)]) {
-          if (!t->Spans(n) &&
-              std::find(candidates.begin(), candidates.end(), n) ==
-                  candidates.end()) {
-            candidates.push_back(n);
-          }
-        }
-      }
-    }
-    if (candidates.empty()) {
-      for (int s = 0; s < static_cast<int>(query.num_slots()); ++s) {
-        if (!t->Spans(s)) candidates.push_back(s);
-      }
-    }
-    std::sort(candidates.begin(), candidates.end());
-
+    PolicyBase::ProbeCandidates(query, *state->graph, *t, &candidates);
     ++ws->counters.tuples_routed;
-    const int target = ws->router->ChooseTarget(*t, candidates);
+    const int target = ws->policy->ChooseProbeSlot(*t, candidates, ws->stats);
     ShardedStem& stem = *state->stems[static_cast<size_t>(target)];
 
     ShardedStem::Bindings& bindings = ws->bindings_scratch;
@@ -255,7 +267,7 @@ void ThreadPoolExecutor::Cascade(RunState* state, WorkerState* ws,
         },
         &ws->matches_scratch);
     ++ws->counters.probes;
-    ws->router->RecordProbe(target, scanned, matches);
+    ws->stats.Record(target, scanned, matches);
     // One probe per tuple, then out of the dataflow: the cascade continues
     // through the concatenations (see the exactly-once note in the header).
     ++ws->counters.tuples_retired;
@@ -344,10 +356,33 @@ Status ThreadPoolExecutor::Execute(const QuerySpec& query,
                                    const RunOptions& options,
                                    const TableStore& store, ExecOutcome* out,
                                    const ExecObs& obs) {
+  STEMS_RETURN_NOT_OK(options.Validate());
   STEMS_RETURN_NOT_OK(ValidateSupported(query, options));
   MutexLock run_lock(&run_mu_);
 
   RunState state;
+  const size_t num_slots = query.num_slots();
+  const size_t num_threads =
+      EffectiveThreads(options.num_threads, default_threads_);
+  state.workers = std::vector<RunState::PaddedWorker>(num_threads);
+  for (size_t w = 0; w < num_threads; ++w) {
+    // One instance of the registered policy per worker, its seed
+    // decorrelated so stochastic policies draw independent streams.
+    PolicyParams params = options.policy_params;
+    params.seed = params.seed * 0x9e3779b97f4a7c15ULL + w;
+    STEMS_ASSIGN_OR_RETURN(std::unique_ptr<RoutingPolicy> policy,
+                           PolicyRegistry::Global().Create(options.policy,
+                                                           params));
+    if (dynamic_cast<PolicyBase*>(policy.get()) == nullptr) {
+      return Status::Unsupported(
+          "threaded executor: policy '" + options.policy +
+          "' is not a PolicyBase; workers consult only ChooseProbeSlot, so "
+          "a policy that overrides just Route() is sim-only");
+    }
+    WorkerState& ws = state.workers[w].ws;
+    ws.policy.reset(static_cast<PolicyBase*>(policy.release()));
+    ws.stats = WorkerProbeStats(num_slots);
+  }
   state.tracer = obs.tracer;
   state.run_start = std::chrono::steady_clock::now();
   state.query = &query;
@@ -356,15 +391,12 @@ Status ThreadPoolExecutor::Execute(const QuerySpec& query,
   state.full_mask = query.full_span_mask();
   if (query.limit().has_value()) state.gate.SetLimit(*query.limit());
 
-  const size_t num_slots = query.num_slots();
   state.tables.resize(num_slots);
   state.selections.resize(num_slots);
-  state.neighbors.resize(num_slots);
   for (size_t s = 0; s < num_slots; ++s) {
     STEMS_ASSIGN_OR_RETURN(state.tables[s],
                            store.GetTable(query.slots()[s].table_name));
     state.selections[s] = query.SelectionsOn(static_cast<int>(s));
-    state.neighbors[s] = graph.Neighbors(static_cast<int>(s));
   }
   for (const auto& pred : query.predicates()) {
     state.all_preds_mask |= 1ULL << pred.id();
@@ -394,15 +426,6 @@ Status ThreadPoolExecutor::Execute(const QuerySpec& query,
                                            std::min(begin + morsel_rows, n)});
       }
     }
-  }
-
-  const size_t num_threads =
-      EffectiveThreads(options.num_threads, default_threads_);
-  state.workers = std::vector<RunState::PaddedWorker>(num_threads);
-  for (size_t w = 0; w < num_threads; ++w) {
-    state.workers[w].ws.router = std::make_unique<MorselRouter>(
-        num_slots, options.policy, options.policy_params.seed,
-        static_cast<int>(w));
   }
 
   std::vector<std::thread> threads;

@@ -33,8 +33,6 @@ std::vector<int> JoinGraph::EdgesBetween(int a, int b) const {
   return out;
 }
 
-std::vector<int> JoinGraph::Neighbors(int a) const { return adj_[a]; }
-
 bool JoinGraph::IsConnected() const {
   if (num_nodes_ == 0) return true;
   std::vector<bool> seen(num_nodes_, false);

@@ -24,7 +24,7 @@ class JoinGraph {
   std::vector<int> EdgesBetween(int a, int b) const;
 
   /// Neighbours of slot `a` (deduplicated, ascending).
-  std::vector<int> Neighbors(int a) const;
+  const std::vector<int>& Neighbors(int a) const { return adj_[a]; }
 
   /// True iff all slots are join-connected (no cross products).
   bool IsConnected() const;

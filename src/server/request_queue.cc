@@ -60,6 +60,10 @@ bool RequestQueue::PopWithTimeout(Request* request,
   // Explicit predicate loop (not a wait lambda): the guarded reads stay in
   // this function, where the analysis sees the lock held.
   while (!HasWorkLocked()) {
+    if (woken_) {
+      woken_ = false;
+      return false;
+    }
     if (cv_.WaitUntil(mu_, deadline) == std::cv_status::timeout &&
         !HasWorkLocked()) {
       return false;
@@ -79,6 +83,12 @@ size_t RequestQueue::high_water() const {
   return high_water_;
 }
 
-void RequestQueue::WakeAll() { cv_.NotifyAll(); }
+void RequestQueue::WakeAll() {
+  {
+    MutexLock lock(&mu_);
+    woken_ = true;
+  }
+  cv_.NotifyAll();
+}
 
 }  // namespace stems::server

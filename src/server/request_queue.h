@@ -69,12 +69,16 @@ class RequestQueue {
 
   /// Pops the next request: the pre-auth lane 0 first (see file comment),
   /// then tenant lanes round-robin (one request per lane per turn,
-  /// ascending lane id, wrapping). False on timeout with nothing to pop.
+  /// ascending lane id, wrapping). False on timeout, or after a WakeAll(),
+  /// with nothing to pop.
   bool PopWithTimeout(Request* request, std::chrono::milliseconds timeout);
 
   size_t size() const;
   /// Deepest the queue has ever been (backpressure observability).
   size_t high_water() const;
+  /// Makes the current (or next) empty PopWithTimeout return false at
+  /// once, so the consumer re-checks state that changed outside the queue
+  /// (e.g. a shutdown request).
   void WakeAll();
 
  private:
@@ -94,6 +98,8 @@ class RequestQueue {
   uint32_t rr_cursor_ STEMS_GUARDED_BY(mu_) = 0;
   const size_t per_lane_capacity_;
   size_t high_water_ STEMS_GUARDED_BY(mu_) = 0;
+  /// Set by WakeAll, consumed by the PopWithTimeout it ends.
+  bool woken_ STEMS_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace stems::server

@@ -687,6 +687,20 @@ TEST_F(ServerTest, ShutdownIsImmediateWhenDrained) {
   EXPECT_LT(elapsed, 2000);
 }
 
+TEST_F(ServerTest, IdleShutdownDoesNotWaitOutTheEnginePark) {
+  // Regression: WakeAll's notify used to be swallowed by PopWithTimeout's
+  // empty-queue loop, so an idle Shutdown waited out the engine loop's
+  // 250ms cv park.
+  StartServer();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // parked
+  const auto t0 = std::chrono::steady_clock::now();
+  server_->Shutdown();
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+  EXPECT_LT(elapsed, 50);
+}
+
 TEST_F(ServerTest, IdleServerStaysParkedOnTheQueueCv) {
   // Regression: the engine loop used to poll the request queue on a flat
   // 20ms timeout even with nothing running — ~50 wakeups/sec of pure idle

@@ -3,21 +3,27 @@
 // The deterministic simulated-clock executor is the reference semantics;
 // the wall-clock morsel-driven executor must reproduce its result set
 // exactly. This suite pins that across the whole supported matrix — every
-// routing policy × batch size {8, 64} × threads {1, 2, 4} — with the
-// brute-force evaluator as the independent anchor, and requires both
-// substrates to finish with clean audit verdicts (zero violations). It
-// also covers the LargerThanMemory spill preset, exact LIMIT clamping
-// under concurrent admission, the Engine/SQL integration, and the
+// registered routing policy (the two registered below included) × batch
+// size {8, 64} × threads {1, 2, 4} — with the brute-force evaluator as the
+// independent anchor, and requires both substrates to finish with clean
+// audit verdicts (zero violations). It also covers the LargerThanMemory
+// spill preset, exact LIMIT clamping under concurrent admission, the
+// Engine/SQL integration, probe_order under threads, and the
 // unsupported-combination errors.
 #include <algorithm>
+#include <atomic>
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "eddy/policies/nary_shj_policy.h"
+#include "eddy/policies/policy_base.h"
 #include "engine/engine.h"
+#include "engine/policy_registry.h"
 #include "exec/sim_executor.h"
 #include "exec/threaded_executor.h"
 #include "tests/test_util.h"
@@ -32,7 +38,58 @@ using testing::TestDb;
 
 constexpr size_t kBatchSizes[] = {8, 64};
 constexpr size_t kThreadCounts[] = {1, 2, 4};
-const char* const kPolicies[] = {"nary_shj", "lottery", "benefit_cost"};
+
+/// Times any LastCandidatePolicy instance chose a probe slot.
+std::atomic<uint64_t> g_last_candidate_calls{0};
+
+/// A custom PolicyBase subclass: probes the highest candidate slot (the
+/// opposite of nary_shj's default), reading only its arguments.
+class LastCandidatePolicy : public PolicyBase {
+ public:
+  const char* name() const override { return "test-last-candidate"; }
+  int ChooseProbeSlot(const Tuple& /*tuple*/,
+                      const std::vector<int>& candidates,
+                      const ProbeStats& /*stats*/) override {
+    g_last_candidate_calls.fetch_add(1, std::memory_order_relaxed);
+    return candidates.back();
+  }
+};
+
+STEMS_REGISTER_POLICY("test_last_candidate", [](const PolicyParams&) {
+  return std::make_unique<LastCandidatePolicy>();
+});
+
+/// A policy that implements only RoutingPolicy::Route (by delegating to
+/// nary_shj), so it runs on the sim and is refused by the threaded
+/// executor, whose workers consult PolicyBase::ChooseProbeSlot.
+class RouteOnlyPolicy : public RoutingPolicy {
+ public:
+  const char* name() const override { return "test-route-only"; }
+  void Attach(Eddy* eddy) override {
+    RoutingPolicy::Attach(eddy);
+    inner_.Attach(eddy);
+  }
+  RouteDecision Route(const TuplePtr& tuple) override {
+    return inner_.Route(tuple);
+  }
+
+ private:
+  NaryShjPolicy inner_;
+};
+
+STEMS_REGISTER_POLICY("test_route_only", [](const PolicyParams&) {
+  return std::make_unique<RouteOnlyPolicy>();
+});
+
+/// Whether the threaded executor runs `policy` (a PolicyBase) rather than
+/// refusing it with kUnsupported.
+bool RunsThreaded(const std::string& policy) {
+  auto created = PolicyRegistry::Global().Create(policy);
+  if (!created.ok()) return false;
+  const std::unique_ptr<RoutingPolicy> instance =
+      std::move(created).ValueOrDie();
+  return dynamic_cast<const PolicyBase*>(instance.get()) != nullptr;
+}
 
 /// Deterministic row generator (tests must not depend on ambient RNG).
 std::vector<RowRef> RandomIntRows(uint64_t seed, size_t n, size_t cols,
@@ -49,6 +106,7 @@ std::vector<RowRef> RandomIntRows(uint64_t seed, size_t n, size_t cols,
 }
 
 struct RunSummary {
+  Status status;
   std::set<std::string> keys;
   std::vector<std::string> duplicates;
   std::vector<std::string> violations;
@@ -79,8 +137,10 @@ RunSummary RunThreaded(const QuerySpec& query, const TestDb& db,
   options.num_threads = threads;
   ThreadPoolExecutor executor;
   RunSummary run;
-  Status st = executor.Execute(query, options, db.store, &run.outcome);
-  EXPECT_TRUE(st.ok()) << st.ToString();
+  run.status = executor.Execute(query, options, db.store, &run.outcome);
+  const StatusCode want =
+      RunsThreaded(policy) ? StatusCode::kOk : StatusCode::kUnsupported;
+  EXPECT_EQ(run.status.code(), want) << run.status.ToString();
   run.keys = KeysOf(run.outcome.results, &run.duplicates);
   run.violations = run.outcome.violations;
   return run;
@@ -91,8 +151,8 @@ RunSummary RunThreaded(const QuerySpec& query, const TestDb& db,
 void ExpectEquivalence(const QuerySpec& query, const TestDb& db,
                        RunOptions threaded_base = {}) {
   const std::set<std::string> expected = BruteForceResultSet(query, db.store);
-  for (const char* policy : kPolicies) {
-    SCOPED_TRACE(std::string("policy=") + policy);
+  for (const std::string& policy : PolicyRegistry::Global().Names()) {
+    SCOPED_TRACE("policy=" + policy);
     const RunSummary sim = RunSim(query, db, policy, 8);
     EXPECT_EQ(sim.keys, expected) << "sim run diverges from brute force";
     EXPECT_TRUE(sim.duplicates.empty());
@@ -103,6 +163,7 @@ void ExpectEquivalence(const QuerySpec& query, const TestDb& db,
                      " threads=" + std::to_string(threads));
         const RunSummary threaded =
             RunThreaded(query, db, policy, batch, threads, threaded_base);
+        if (!threaded.status.ok()) continue;  // checked by RunThreaded
         EXPECT_EQ(threaded.keys, sim.keys);
         EXPECT_TRUE(threaded.duplicates.empty())
             << threaded.duplicates.size() << " duplicates, first: "
@@ -207,14 +268,15 @@ TEST(ThreadedEquivalence, LargerThanMemorySpillPreset) {
   const QuerySpec query = std::move(qb).Build().ValueOrDie();
 
   const std::set<std::string> expected = BruteForceResultSet(query, db.store);
-  for (const char* policy : kPolicies) {
-    SCOPED_TRACE(std::string("policy=") + policy);
+  for (const std::string& policy : PolicyRegistry::Global().Names()) {
+    SCOPED_TRACE("policy=" + policy);
     for (size_t batch : kBatchSizes) {
       for (size_t threads : kThreadCounts) {
         SCOPED_TRACE("batch=" + std::to_string(batch) +
                      " threads=" + std::to_string(threads));
         const RunSummary run = RunThreaded(query, db, policy, batch, threads,
                                            RunOptions::LargerThanMemory(32));
+        if (!run.status.ok()) continue;  // checked by RunThreaded
         EXPECT_EQ(run.keys, expected);
         EXPECT_TRUE(run.duplicates.empty());
         EXPECT_TRUE(run.violations.empty());
@@ -360,6 +422,83 @@ TEST(ThreadedEquivalence, UnsupportedCombinationsAreTypedErrors) {
     auto r = engine.Submit(std::move(qb).Build().ValueOrDie(), o);
     EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
   }
+  // A policy that is not a PolicyBase has no ChooseProbeSlot for the
+  // workers to consult — sim-only.
+  {
+    QueryBuilder qb(engine.catalog());
+    qb.AddTable("R");
+    RunOptions o = RunOptions::Threaded(2);
+    o.policy = "test_route_only";
+    auto r = engine.Submit(std::move(qb).Build().ValueOrDie(), o);
+    EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
+  }
+}
+
+TEST(ThreadedEquivalence, CustomPolicyBaseRunsOnWorkers) {
+  TestDb db;
+  db.AddTable("R", IntSchema({"a", "b"}), RandomIntRows(30, 30, 2, 6),
+              {ScanSpec("R.scan")});
+  db.AddTable("S", IntSchema({"x", "y"}), RandomIntRows(31, 30, 2, 6),
+              {ScanSpec("S.scan")});
+  db.AddTable("T", IntSchema({"u"}), RandomIntRows(32, 30, 1, 6),
+              {ScanSpec("T.scan")});
+  QueryBuilder qb(db.catalog);
+  qb.AddTable("R").AddTable("S").AddTable("T");
+  qb.AddJoin("R.a", "S.x").AddJoin("S.y", "T.u");
+  const QuerySpec query = std::move(qb).Build().ValueOrDie();
+
+  RunOptions options = RunOptions::Threaded(2);
+  options.policy = "test_last_candidate";
+  const uint64_t calls_before = g_last_candidate_calls.load();
+  ThreadPoolExecutor executor;
+  ExecOutcome outcome;
+  ASSERT_TRUE(executor.Execute(query, options, db.store, &outcome).ok());
+  EXPECT_GT(g_last_candidate_calls.load(), calls_before);
+  std::vector<std::string> duplicates;
+  EXPECT_EQ(KeysOf(outcome.results, &duplicates),
+            BruteForceResultSet(query, db.store));
+  EXPECT_TRUE(duplicates.empty());
+  EXPECT_TRUE(outcome.violations.empty());
+}
+
+TEST(ThreadedEquivalence, NaryShjHonoursProbeOrder) {
+  // Skewed chain R - S - T: every R row joins every S row (40 × 40 pairs),
+  // S ⋈ T is small. Only an S singleton has a choice (R or T). Preferring
+  // R materializes all 1600 R⋈S pairs whatever the interleaving: each
+  // pair is made by its newer side, and both sides probe towards the
+  // other. Preferring T makes an R⋈S pair only when the R row is the
+  // newer one, and R's chunks are all claimed before any of S's, so only
+  // the one R chunk another worker still holds (8 rows, 320 pairs at
+  // most) can be newer than an S row. The match counts cannot meet.
+  std::vector<std::vector<int64_t>> r_rows, s_rows, t_rows;
+  for (int64_t i = 0; i < 40; ++i) r_rows.push_back({0, i});
+  for (int64_t i = 0; i < 40; ++i) s_rows.push_back({0, i});
+  for (int64_t i = 0; i < 8; ++i) t_rows.push_back({i * 5});
+  TestDb db;
+  db.AddTable("R", IntSchema({"a", "id"}), IntRows(r_rows),
+              {ScanSpec("R.scan")});
+  db.AddTable("S", IntSchema({"x", "y"}), IntRows(s_rows),
+              {ScanSpec("S.scan")});
+  db.AddTable("T", IntSchema({"u"}), IntRows(t_rows), {ScanSpec("T.scan")});
+  QueryBuilder qb(db.catalog);
+  qb.AddTable("R").AddTable("S").AddTable("T");
+  qb.AddJoin("R.a", "S.x").AddJoin("S.y", "T.u");
+  const QuerySpec query = std::move(qb).Build().ValueOrDie();
+  const std::set<std::string> expected = BruteForceResultSet(query, db.store);
+  ASSERT_EQ(expected.size(), 40u * 8u);
+
+  RunOptions options;
+  options.policy_params.probe_order = {2, 0, 1};  // S probes T first
+  const RunSummary t_first = RunThreaded(query, db, "nary_shj", 8, 2, options);
+  options.policy_params.probe_order = {0, 2, 1};  // S probes R first
+  const RunSummary r_first = RunThreaded(query, db, "nary_shj", 8, 2, options);
+  EXPECT_EQ(t_first.keys, expected);
+  EXPECT_EQ(r_first.keys, expected);
+  EXPECT_TRUE(t_first.duplicates.empty());
+  EXPECT_TRUE(r_first.duplicates.empty());
+  // T first: 8 S⋈T pairs + at most 320 R⋈S pairs + 320 results.
+  EXPECT_LT(t_first.outcome.totals.matches, 40u * 40u);
+  EXPECT_GE(r_first.outcome.totals.matches, 40u * 40u + expected.size());
 }
 
 TEST(ThreadedEquivalence, RandomQueriesMatchBruteForce) {
