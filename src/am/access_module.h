@@ -29,6 +29,16 @@ class AccessModule : public Module {
   const std::vector<int>& table_slots() const { return table_slots_; }
 
  protected:
+  /// Counts one event now on this AM's `<name><suffix>` metric series. The
+  /// series is resolved into `*handle` on first use, so the per-row and
+  /// per-probe paths neither build the name nor search the recorder.
+  void CountOn(CounterSeries** handle, const char* suffix) {
+    if (*handle == nullptr) {
+      *handle = ctx_->metrics.SeriesHandle(name() + suffix);
+    }
+    (*handle)->Increment(sim()->now());
+  }
+
   QueryContext* ctx_;
 
  private:

@@ -72,7 +72,7 @@ void IndexAm::Process(TuplePtr tuple) {
     StartNextLookup();
   } else {
     ++probes_coalesced_;
-    ctx_->metrics.Count(name() + ".coalesced", sim()->now());
+    CountOn(&coalesced_series_, ".coalesced");
   }
 
   // Asynchronously bounce the probe tuple back (paper Table 1). Its matches
@@ -88,16 +88,24 @@ void IndexAm::StartNextLookup() {
   pending_.pop_front();
   ++active_lookups_;
   ++lookups_issued_;
-  ctx_->metrics.Count(name() + ".probes", sim()->now());
+  CountOn(&probes_series_, ".probes");
   const SimTime latency = options_.latency->Sample(sim()->now(), rng_);
   total_lookup_latency_ += latency;
   ++lookups_completed_;
-  sim()->Schedule(latency, [this, req = std::move(request)]() mutable {
-    CompleteLookup(std::move(req));
-  });
+  uint32_t slot = static_cast<uint32_t>(lookups_.size());
+  if (free_lookup_slots_.empty()) {
+    lookups_.push_back(std::move(request));
+  } else {
+    slot = free_lookup_slots_.back();
+    free_lookup_slots_.pop_back();
+    lookups_[slot] = std::move(request);
+  }
+  sim()->Schedule(latency, &lookup_done_, slot);
 }
 
-void IndexAm::CompleteLookup(LookupRequest request) {
+void IndexAm::CompleteLookup(uint64_t slot) {
+  LookupRequest request = std::move(lookups_[slot]);
+  free_lookup_slots_.push_back(static_cast<uint32_t>(slot));
   const int num_slots = static_cast<int>(ctx_->query->num_slots());
   const auto& matches = store_->Lookup(bind_columns_, request.bind_values);
   for (const auto& row : matches) {

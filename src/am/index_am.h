@@ -93,7 +93,8 @@ class IndexAm : public AccessModule {
   };
 
   void StartNextLookup();
-  void CompleteLookup(LookupRequest request);
+  /// The completion event of the lookup parked in lookups_[slot].
+  void CompleteLookup(uint64_t slot);
   int ResolveTargetSlot(const Tuple& tuple) const;
 
   std::vector<int> bind_columns_;
@@ -102,6 +103,14 @@ class IndexAm : public AccessModule {
   Rng rng_;
 
   std::deque<LookupRequest> pending_;
+  /// In-flight lookups by slot (at most `concurrency` are live); a
+  /// completion event's argument names its slot, and freed slots are
+  /// reused.
+  std::vector<LookupRequest> lookups_;
+  std::vector<uint32_t> free_lookup_slots_;
+  MemberEvent<&IndexAm::CompleteLookup> lookup_done_{this};
+  CounterSeries* probes_series_ = nullptr;
+  CounterSeries* coalesced_series_ = nullptr;
   int active_lookups_ = 0;
   uint64_t lookups_issued_ = 0;
   uint64_t probes_coalesced_ = 0;

@@ -44,7 +44,7 @@ void ScanAm::Process(TuplePtr tuple) {
   seeded_ = true;
   streaming_ = true;
   SimTime due = sim()->now() + options_.initial_delay + options_.period;
-  sim()->At(ApplyStalls(due), [this] { EmitNextRow(); });
+  sim()->At(ApplyStalls(due), &emit_next_);
 }
 
 SimTime ScanAm::ApplyStalls(SimTime due) const {
@@ -63,7 +63,7 @@ void ScanAm::Halt() {
   finished_ = true;
 }
 
-void ScanAm::EmitNextRow() {
+void ScanAm::EmitNextRow(uint64_t /*arg*/) {
   if (finished_) {  // halted after this emission was scheduled
     streaming_ = false;
     return;
@@ -76,10 +76,10 @@ void ScanAm::EmitNextRow() {
       singleton->set_prioritized(true);
     }
     ++next_row_;
-    ctx_->metrics.Count(name() + ".rows", sim()->now());
+    CountOn(&rows_series_, ".rows");
     Emit(std::move(singleton));
     SimTime due = sim()->now() + options_.period;
-    sim()->At(ApplyStalls(due), [this] { EmitNextRow(); });
+    sim()->At(ApplyStalls(due), &emit_next_);
     return;
   }
   // All rows delivered: emit the scan EOT ("predicate true": all fields are

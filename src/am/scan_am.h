@@ -59,13 +59,16 @@ class ScanAm : public AccessModule {
   void Process(TuplePtr tuple) override;
 
  private:
-  void EmitNextRow();
+  /// The emission event: delivers the next row (or the closing EOT).
+  void EmitNextRow(uint64_t arg);
   /// Earliest allowed delivery time for a row due at `due`, accounting for
   /// stall windows.
   SimTime ApplyStalls(SimTime due) const;
 
   std::vector<RowRef> rows_;
   ScanAmOptions options_;
+  MemberEvent<&ScanAm::EmitNextRow> emit_next_{this};
+  CounterSeries* rows_series_ = nullptr;
   size_t next_row_ = 0;
   bool streaming_ = false;
   bool finished_ = false;

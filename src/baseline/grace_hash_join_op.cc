@@ -85,23 +85,25 @@ void GraceHashJoinOp::ProcessPartition(size_t p) {
       options_.partition_read_time *
           static_cast<SimTime>(part.inputs[0].size() + part.inputs[1].size()) +
       options_.probe_time * static_cast<SimTime>(part.inputs[1].size() + 1);
-  sim()->Schedule(cost, [this, p] {
-    Partition& part = partitions_[p];
-    std::unordered_map<Value, std::vector<TuplePtr>, ValueHash> hash;
-    for (const TuplePtr& t : part.inputs[0]) {
-      const Value* key = KeyOf(*t, 0);
-      hash[*key].push_back(t);
-    }
-    for (const TuplePtr& t : part.inputs[1]) {
-      const Value* key = KeyOf(*t, 1);
-      auto it = hash.find(*key);
-      if (it == hash.end()) continue;
-      for (const TuplePtr& match : it->second) JoinPair(match, t);
-    }
-    part.inputs[0].clear();
-    part.inputs[1].clear();
-    ProcessPartition(p + 1);
-  });
+  sim()->Schedule(cost, &partition_ready_, p);
+}
+
+void GraceHashJoinOp::JoinPartition(uint64_t p) {
+  Partition& part = partitions_[p];
+  std::unordered_map<Value, std::vector<TuplePtr>, ValueHash> hash;
+  for (const TuplePtr& t : part.inputs[0]) {
+    const Value* key = KeyOf(*t, 0);
+    hash[*key].push_back(t);
+  }
+  for (const TuplePtr& t : part.inputs[1]) {
+    const Value* key = KeyOf(*t, 1);
+    auto it = hash.find(*key);
+    if (it == hash.end()) continue;
+    for (const TuplePtr& match : it->second) JoinPair(match, t);
+  }
+  part.inputs[0].clear();
+  part.inputs[1].clear();
+  ProcessPartition(p + 1);
 }
 
 }  // namespace stems

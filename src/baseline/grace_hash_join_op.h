@@ -49,12 +49,15 @@ class GraceHashJoinOp : public JoinOperator {
   size_t PartitionOf(const Value& key) const;
   const Value* KeyOf(const Tuple& tuple, int side) const;
   void JoinPair(const TuplePtr& left, const TuplePtr& right);
-  /// Schedules partition `p` for processing and chains the next one.
+  /// Schedules partition `p` for processing, charging its read I/O.
   void ProcessPartition(size_t p);
+  /// The event of partition `p`: joins it, then chains the next one.
+  void JoinPartition(uint64_t p);
 
   GraceHashJoinOpOptions options_;
   ColumnRef keys_[2];
   std::vector<Partition> partitions_;
+  MemberEvent<&GraceHashJoinOp::JoinPartition> partition_ready_{this};
   /// In-memory hash for resident partitions (hybrid mode).
   std::unordered_map<Value, std::vector<TuplePtr>, ValueHash>
       resident_hash_[2];

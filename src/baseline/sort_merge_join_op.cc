@@ -64,47 +64,53 @@ void SortMergeJoinOp::Finalize() {
   };
   const SimTime total_sort = sort_cost(runs_[0].size()) +
                              sort_cost(runs_[1].size());
-  sim()->Schedule(total_sort, [this] {
-    for (int side = 0; side < 2; ++side) {
-      std::sort(runs_[side].begin(), runs_[side].end(),
-                [this, side](const TuplePtr& a, const TuplePtr& b) {
-                  return *KeyOf(*a, side) < *KeyOf(*b, side);
-                });
+  sim()->Schedule(total_sort, &sort_done_);
+}
+
+void SortMergeJoinOp::SortAndMerge(uint64_t /*arg*/) {
+  for (int side = 0; side < 2; ++side) {
+    std::sort(runs_[side].begin(), runs_[side].end(),
+              [this, side](const TuplePtr& a, const TuplePtr& b) {
+                return *KeyOf(*a, side) < *KeyOf(*b, side);
+              });
+  }
+  // Merge; each key group emits its cross pairs at its own merge time.
+  size_t i = 0, j = 0;
+  SimTime at = 0;
+  while (i < runs_[0].size() && j < runs_[1].size()) {
+    at += options_.merge_step_time;
+    const Value& ki = *KeyOf(*runs_[0][i], 0);
+    const Value& kj = *KeyOf(*runs_[1][j], 1);
+    if (ki < kj) {
+      ++i;
+      continue;
     }
-    // Merge; each key group emits its cross pairs.
-    size_t i = 0, j = 0;
-    SimTime at = 0;
-    while (i < runs_[0].size() && j < runs_[1].size()) {
-      at += options_.merge_step_time;
-      const Value& ki = *KeyOf(*runs_[0][i], 0);
-      const Value& kj = *KeyOf(*runs_[1][j], 1);
-      if (ki < kj) {
-        ++i;
-        continue;
-      }
-      if (kj < ki) {
-        ++j;
-        continue;
-      }
-      size_t i_end = i;
-      while (i_end < runs_[0].size() && *KeyOf(*runs_[0][i_end], 0) == ki) {
-        ++i_end;
-      }
-      size_t j_end = j;
-      while (j_end < runs_[1].size() && *KeyOf(*runs_[1][j_end], 1) == ki) {
-        ++j_end;
-      }
-      sim()->Schedule(at, [this, i, i_end, j, j_end] {
-        for (size_t a = i; a < i_end; ++a) {
-          for (size_t b = j; b < j_end; ++b) {
-            JoinPair(runs_[0][a], runs_[1][b]);
-          }
-        }
-      });
-      i = i_end;
-      j = j_end;
+    if (kj < ki) {
+      ++j;
+      continue;
     }
-  });
+    size_t i_end = i;
+    while (i_end < runs_[0].size() && *KeyOf(*runs_[0][i_end], 0) == ki) {
+      ++i_end;
+    }
+    size_t j_end = j;
+    while (j_end < runs_[1].size() && *KeyOf(*runs_[1][j_end], 1) == ki) {
+      ++j_end;
+    }
+    sim()->Schedule(at, &group_ready_, key_groups_.size());
+    key_groups_.push_back({i, i_end, j, j_end});
+    i = i_end;
+    j = j_end;
+  }
+}
+
+void SortMergeJoinOp::EmitKeyGroup(uint64_t index) {
+  const KeyGroup g = key_groups_[index];
+  for (size_t a = g.left_begin; a < g.left_end; ++a) {
+    for (size_t b = g.right_begin; b < g.right_end; ++b) {
+      JoinPair(runs_[0][a], runs_[1][b]);
+    }
+  }
 }
 
 }  // namespace stems

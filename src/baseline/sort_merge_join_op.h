@@ -31,12 +31,25 @@ class SortMergeJoinOp : public JoinOperator {
   void Finalize() override;
 
  private:
+  /// One equal-key run of each sorted input.
+  struct KeyGroup {
+    size_t left_begin, left_end, right_begin, right_end;
+  };
+
   const Value* KeyOf(const Tuple& tuple, int side) const;
   void JoinPair(const TuplePtr& left, const TuplePtr& right);
+  /// The sort event: sorts both runs, then schedules one event per key
+  /// group as the merge reaches it.
+  void SortAndMerge(uint64_t arg);
+  /// Emits the cross pairs of key_groups_[index].
+  void EmitKeyGroup(uint64_t index);
 
   SortMergeJoinOpOptions options_;
   ColumnRef keys_[2];
   std::vector<TuplePtr> runs_[2];
+  std::vector<KeyGroup> key_groups_;
+  MemberEvent<&SortMergeJoinOp::SortAndMerge> sort_done_{this};
+  MemberEvent<&SortMergeJoinOp::EmitKeyGroup> group_ready_{this};
 };
 
 }  // namespace stems

@@ -226,40 +226,41 @@ void Eddy::MaybeStartRouting() {
   if (routing_busy_ || route_queue_.empty()) return;
   routing_busy_ = true;
   // One event-queue hop (and one routing_overhead charge) covers up to
-  // batch_size queued tuples.
+  // batch_size queued tuples. The scalar path takes its tuple now and
+  // parks it in routing_tuple_; the batched path leaves the tuples queued
+  // until the event fires, so emissions arriving during the
+  // routing_overhead window join the batch. Either way the event carries
+  // no payload.
   if (options_.batch_size <= 1) {
-    TuplePtr tuple = std::move(route_queue_.front());
+    routing_tuple_ = std::move(route_queue_.front());
     route_queue_.pop_front();
-    ctx_.sim->Schedule(options_.routing_overhead,
-                       [this, t = std::move(tuple)]() mutable {
-                         // wall-clock: measures the real CPU cost of the
-                         // routing decision (routing_wall_ns_ is an
-                         // observability counter, never simulation input).
-                         const auto start = std::chrono::steady_clock::now();
-                         RouteOne(std::move(t));
-                         routing_busy_ = false;
-                         MaybeStartRouting();
-                         // wall-clock: closes the span opened above.
-                         routing_wall_ns_ += static_cast<uint64_t>(
-                             (std::chrono::steady_clock::now() - start)
-                                 .count());
-                       });
-    return;
   }
-  // The tuples stay queued until the event fires: emissions arriving
-  // during the routing_overhead window join this batch, and the closure
-  // captures only `this` (no allocation).
-  ctx_.sim->Schedule(options_.routing_overhead, [this] {
-    // wall-clock: measures the real CPU cost of batch routing
-    // (observability counter only, never simulation input).
-    const auto start = std::chrono::steady_clock::now();
+  ctx_.sim->Schedule(options_.routing_overhead, &routing_event_);
+}
+
+void Eddy::OnRoutingEvent(uint64_t /*arg*/) {
+  // The routing timer samples one event in kRoutingTimerStride and scales
+  // it, so the clock reads stay off most routing steps. The sample is drawn
+  // at random: a fixed stride aliases with periodic work (trace sampling
+  // every Nth decision, batch-size cycles) and biases the estimate.
+  const bool timed = timer_rng_.Next() % kRoutingTimerStride == 0;
+  std::chrono::steady_clock::time_point start;
+  // wall-clock: measures the real CPU cost of a routing step
+  // (routing_wall_ns_ is an observability estimate, never simulation input).
+  if (timed) start = std::chrono::steady_clock::now();
+  if (options_.batch_size <= 1) {
+    RouteOne(std::move(routing_tuple_));
+  } else {
     RouteBatchFromQueue();
-    routing_busy_ = false;
-    MaybeStartRouting();
-    // wall-clock: closes the span opened above.
-    routing_wall_ns_ += static_cast<uint64_t>(
-        (std::chrono::steady_clock::now() - start).count());
-  });
+  }
+  routing_busy_ = false;
+  MaybeStartRouting();
+  if (timed) {
+    // wall-clock: closes the sampled span opened above.
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    routing_wall_ns_ +=
+        kRoutingTimerStride * static_cast<uint64_t>(elapsed.count());
+  }
 }
 
 bool Eddy::PreRoute(TuplePtr& tuple) {

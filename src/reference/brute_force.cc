@@ -32,7 +32,7 @@ std::set<std::string> BruteForceResultSet(const QuerySpec& query,
   // Iterative DFS over slot assignments with early predicate pruning.
   std::vector<size_t> cursor(n, 0);
   std::vector<TuplePtr> partials(n + 1);
-  partials[0] = std::make_shared<Tuple>(n);
+  partials[0] = Tuple::Make(n);
   int depth = 0;
   while (depth >= 0) {
     if (depth == n) {

@@ -74,25 +74,10 @@ void Module::TraceService(SimTime start, SimTime duration, size_t group_size) {
 void Module::MaybeStartService() {
   if (busy_ || queue_.empty()) return;
   busy_ = true;
-  if (service_batch_ <= 1 || queue_.size() == 1) {
-    QueueEntry entry = std::move(queue_.front());
-    queue_.pop_front();
-    stats_.queue_wait_time +=
-        static_cast<uint64_t>(sim_->now() - entry.enqueued_at);
-    const SimTime service = ServiceTime(*entry.tuple);
-    stats_.busy_time += static_cast<uint64_t>(service);
-    if (tracer_ != nullptr) TraceService(sim_->now(), service, 1);
-    sim_->Schedule(service, [this, t = std::move(entry.tuple)]() mutable {
-      Process(std::move(t));
-      busy_ = false;
-      MaybeStartService();
-    });
-    return;
-  }
-  // Batched service: one event covers up to service_batch_ queued tuples;
-  // the virtual busy period is the sum of their individual service times.
-  // The group lives in the reusable in_service_ buffer and the closure
-  // captures only `this`, so the steady state allocates nothing.
+  // One event covers up to service_batch_ queued tuples (one on the paper's
+  // per-tuple path); the virtual busy period is the sum of their individual
+  // service times. The group waits in the reusable in_service_ buffer and
+  // the event carries no payload, so the steady state allocates nothing.
   const size_t n = std::min(service_batch_, queue_.size());
   in_service_.clear();
   SimTime total = 0;
@@ -106,11 +91,19 @@ void Module::MaybeStartService() {
   }
   stats_.busy_time += static_cast<uint64_t>(total);
   if (tracer_ != nullptr) TraceService(now, total, n);
-  sim_->Schedule(total, [this] {
+  sim_->Schedule(total, &service_done_);
+}
+
+void Module::FinishService(uint64_t /*arg*/) {
+  if (in_service_.size() == 1) {
+    TuplePtr tuple = std::move(in_service_.front());
+    in_service_.clear();
+    Process(std::move(tuple));
+  } else {
     ProcessBatch(&in_service_);
-    busy_ = false;
-    MaybeStartService();
-  });
+  }
+  busy_ = false;
+  MaybeStartService();
 }
 
 }  // namespace stems

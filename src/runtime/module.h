@@ -120,6 +120,9 @@ class Module {
 
  private:
   void MaybeStartService();
+  /// The service event: processes the group parked in in_service_ (a
+  /// group of one through Process(), larger groups through ProcessBatch()).
+  void FinishService(uint64_t arg);
   /// Records a sampled 'X' span for a service period starting now.
   void TraceService(SimTime start, SimTime duration, size_t group_size);
 
@@ -137,8 +140,10 @@ class Module {
   bool busy_ = false;
   size_t service_batch_ = 1;
   /// Reusable buffer for the in-flight service group (busy_ serializes
-  /// service, so one buffer suffices); keeps the batched path allocation-free.
+  /// service, so one buffer suffices); keeps the service path
+  /// allocation-free.
   std::vector<TuplePtr> in_service_;
+  MemberEvent<&Module::FinishService> service_done_{this};
   ModuleStats stats_;
 };
 

@@ -16,6 +16,17 @@
 #include "expr/predicate.h"
 #include "types/row.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define STEMS_ADDRESS_SANITIZER 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define STEMS_ADDRESS_SANITIZER 1
+#endif
+#endif
+#ifndef STEMS_ADDRESS_SANITIZER
+#define STEMS_ADDRESS_SANITIZER 0
+#endif
+
 namespace stems {
 
 /// Build timestamps (paper §3.1): assigned from a global monotonic counter
@@ -41,6 +52,11 @@ using TuplePtr = std::shared_ptr<Tuple>;
 /// routing step. SteMs accept builds and probes; other modules ignore this.
 enum class RouteIntent : uint8_t { kAuto = 0, kBuild, kProbe };
 
+/// Memory layout: a tuple is one heap block (its shared_ptr control block,
+/// its state and up to kInlineSlots components inline; only a query with
+/// more slots adds a component array). Blocks come from a small
+/// per-thread cache (Make()), so the per-tuple path of a running query
+/// reuses freed blocks instead of calling the allocator.
 class Tuple : public ValueSource {
  public:
   /// One base-table component and its build timestamp.
@@ -49,8 +65,27 @@ class Tuple : public ValueSource {
     BuildTs timestamp = kTsInfinity;  ///< kTsInfinity until built into a SteM
   };
 
-  /// An empty tuple over a query with `num_slots` table slots.
-  explicit Tuple(int num_slots) : components_(num_slots) {}
+  /// Components stored inside the tuple itself.
+  static constexpr int kInlineSlots = 4;
+  /// Most free blocks one thread's cache keeps; frees beyond it go back to
+  /// the allocator.
+  static constexpr size_t kBlockCacheCap = 256;
+  /// False under AddressSanitizer, which must see every tuple free to
+  /// report a use-after-free: there each block is allocated afresh.
+  static constexpr bool kCachesBlocks = !STEMS_ADDRESS_SANITIZER;
+
+  /// An empty tuple over a query with `num_slots` (<= 64) table slots.
+  explicit Tuple(int num_slots);
+
+  /// Not copyable: components_ may point into the tuple itself.
+  Tuple(const Tuple&) = delete;
+  Tuple& operator=(const Tuple&) = delete;
+
+  /// An empty tuple in a cached single block.
+  static TuplePtr Make(int num_slots);
+
+  /// Free blocks in the calling thread's cache (at most kBlockCacheCap).
+  static size_t ThreadCachedBlocks();
 
   /// A singleton spanning `slot`.
   static TuplePtr MakeSingleton(int num_slots, int slot, RowRef row);
@@ -60,7 +95,7 @@ class Tuple : public ValueSource {
 
   // --- components & span ---------------------------------------------------
 
-  int num_slots() const { return static_cast<int>(components_.size()); }
+  int num_slots() const { return num_slots_; }
   const Component& component(int slot) const { return components_[slot]; }
   bool Spans(int slot) const { return components_[slot].row != nullptr; }
   uint64_t spanned_mask() const { return spanned_mask_; }
@@ -91,8 +126,9 @@ class Tuple : public ValueSource {
   // --- special tuple kinds -------------------------------------------------
 
   bool is_seed() const { return is_seed_; }
-  /// An End-Of-Transmission tuple (paper §2.1.3).
-  bool IsEot() const;
+  /// An End-Of-Transmission tuple (paper §2.1.3): some component is an
+  /// EOT row. O(1): SetComponent() keeps a mask of EOT components.
+  bool IsEot() const { return eot_mask_ != 0; }
 
   // --- §3.4 prior-prober state (Def. 3) -------------------------------------
 
@@ -184,25 +220,31 @@ class Tuple : public ValueSource {
   std::string ToString() const;
 
  private:
-  std::vector<Component> components_;
+  // Fields are ordered by size so the block carries no padding.
+
+  /// inline_ for up to kInlineSlots slots, else heap_components_.
+  Component* components_;
+  std::unique_ptr<Component[]> heap_components_;
+  Component inline_[kInlineSlots];
   uint64_t spanned_mask_ = 0;
+  uint64_t eot_mask_ = 0;
   uint64_t preds_passed_ = 0;
   uint64_t probed_stems_ = 0;
   uint64_t probed_ams_ = 0;
   BuildTs last_match_ts_ = 0;
+  int num_slots_;
   uint32_t route_count_ = 0;
   uint32_t spill_deferrals_ = 0;
   uint32_t last_probe_matches_ = 0;
   int probe_completion_slot_ = -1;
+  int route_target_slot_ = -1;
   bool probe_completed_ = false;
   bool is_seed_ = false;
   bool prioritized_ = false;
   bool is_retarget_clone_ = false;
   bool retarget_spawned_ = false;
-
-  RouteIntent route_intent_ = RouteIntent::kAuto;
-  int route_target_slot_ = -1;
   bool exclude_equal_ts_ = false;
+  RouteIntent route_intent_ = RouteIntent::kAuto;
 };
 
 }  // namespace stems

@@ -139,16 +139,18 @@ void Stem::AccrueIoCharge(const StemStorage::SpillResult& io) {
   // On firing, the marker retires exactly its own accrual *if it is still
   // pending* — an intervening service may have billed it already (the
   // busy period subsumed the marker), and newer accruals must stay billed.
-  sim()->Schedule(cost, [this, id] {
-    --pending_io_markers_;
-    for (auto it = io_accruals_.begin(); it != io_accruals_.end(); ++it) {
-      if (it->first == id) {
-        pending_io_charge_ -= it->second;
-        io_accruals_.erase(it);
-        break;
-      }
+  sim()->Schedule(cost, &io_marker_, id);
+}
+
+void Stem::OnIoMarker(uint64_t id) {
+  --pending_io_markers_;
+  for (auto it = io_accruals_.begin(); it != io_accruals_.end(); ++it) {
+    if (it->first == id) {
+      pending_io_charge_ -= it->second;
+      io_accruals_.erase(it);
+      break;
     }
-  });
+  }
 }
 
 size_t Stem::SpillColdestPartition() {

@@ -251,6 +251,9 @@ class Stem : public Module {
   /// marker event keeps the clock occupied in case no service follows. The
   /// ios/bytes of the triggering operation are billed to this query.
   void AccrueIoCharge(const StemStorage::SpillResult& io);
+  /// The I/O marker event of accrual `id`: retires that accrual if no
+  /// service has billed it yet.
+  void OnIoMarker(uint64_t id);
 
   /// Single home for restore (fault-in) attribution: bills the I/O to this
   /// query — as a service charge when the restore ran synchronously under
@@ -322,6 +325,7 @@ class Stem : public Module {
   /// quiescent while one is pending, so completion cannot be stamped
   /// ahead of trailing spill I/O.
   size_t pending_io_markers_ = 0;
+  MemberEvent<&Stem::OnIoMarker> io_marker_{this};
   bool faulted_during_probe_ = false;
 
   /// Batched-service state: while a group is in flight, NotifyChange()

@@ -5,7 +5,16 @@
 namespace stems {
 
 StemManager::StemManager() = default;
-StemManager::~StemManager() = default;
+StemManager::~StemManager() {
+  // The engine's clock is gone by now: fault-ins still pending on it never
+  // complete, so their storages stop keeping themselves alive (their spill
+  // files write through pools_, which are still alive here).
+  for (auto& [key, weak] : storages_) {
+    if (std::shared_ptr<StemStorage> storage = weak.lock()) {
+      storage->ReleaseFaultKeepAlive();
+    }
+  }
+}
 
 namespace {
 

@@ -11,8 +11,8 @@
 // build cost and memory twice. See docs/sharing.md for the visibility
 // model that keeps results exact.
 //
-// Lifecycle is ref-counted and lazily evicting: facades (and in-flight
-// fault-in events) hold shared_ptrs, the manager holds only weak entries.
+// Lifecycle is ref-counted and lazily evicting: facades (and storages with
+// in-flight fault-ins) hold shared_ptrs, the manager holds only weak entries.
 // When the last query releases a storage it is detached and the registry
 // entry expires; expired entries are purged on the next acquire or stats
 // call ("detach, then evict").

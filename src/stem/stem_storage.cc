@@ -284,17 +284,19 @@ void StemStorage::ScheduleFaultIn(const std::vector<size_t>& parts,
     ++s.pending_fault_events;
     // The event delay models the asynchronous read; pool bookkeeping (and
     // page caching) happens at completion. Never zero, so a defer/fault
-    // cycle always advances virtual time. The closure keeps the storage
-    // alive: a query may detach (even be destroyed) before the read lands.
+    // cycle always advances virtual time. The storage keeps itself alive
+    // while reads are in flight: a query may detach (even be destroyed)
+    // before the read lands.
+    if (fault_keepalive_ == nullptr) fault_keepalive_ = shared_from_this();
     const SimTime delay =
         std::max<SimTime>(Micros(1), s.file->EstimateRestoreCost(p));
-    sim_->Schedule(delay, [self = shared_from_this(), p] {
-      self->CompleteFaultIn(p);
-    });
+    sim_->Schedule(delay, &fault_done_, p);
   }
 }
 
-void StemStorage::CompleteFaultIn(size_t p) {
+void StemStorage::ReleaseFaultKeepAlive() { fault_keepalive_.reset(); }
+
+void StemStorage::CompleteFaultIn(uint64_t p) {
   Spill& s = *spill_;
   assert(s.pending_fault_events > 0);
   --s.pending_fault_events;
@@ -313,6 +315,8 @@ void StemStorage::CompleteFaultIn(size_t p) {
   for (Stem* facade : attached_) {
     facade->OnPartitionFaulted(p);
   }
+  // Last: dropping the keep-alive may destroy this storage.
+  if (s.pending_fault_events == 0) ReleaseFaultKeepAlive();
 }
 
 size_t StemStorage::partitions_spilled() const {

@@ -7,10 +7,10 @@
 // indexes, and the spill-partition state, factored out of the per-query
 // Stem module so several concurrent queries can attach to one copy.
 //
-// Ownership is ref-counted: every attached Stem facade (and any in-flight
-// asynchronous fault-in event) holds a shared_ptr; the engine's StemManager
-// keeps only a weak registry entry, so the storage is evicted lazily when
-// the last query releases it.
+// Ownership is ref-counted: every attached Stem facade (and the storage
+// itself, while an asynchronous fault-in is in flight) holds a shared_ptr;
+// the engine's StemManager keeps only a weak registry entry, so the storage
+// is evicted lazily when the last query releases it.
 //
 // Visibility across queries is NOT this class's concern. In pooled mode
 // every entry carries an insertion sequence number, and each attached
@@ -137,11 +137,15 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
   void RemoveSpillWaiter(size_t p);
 
   /// Schedules the asynchronous fault-in of every partition in `parts`
-  /// (no-op for resident or already-scheduled ones). The event holds a
-  /// shared_ptr to this storage, so it outlives any detaching query; on
-  /// completion every *attached* facade is told (Stem::OnPartitionFaulted)
-  /// and the restore I/O is attributed to `requester` if still attached.
+  /// (no-op for resident or already-scheduled ones). While any fault-in is
+  /// pending the storage holds a shared_ptr to itself, so it outlives any
+  /// detaching query; on completion every *attached* facade is told
+  /// (Stem::OnPartitionFaulted) and the restore I/O is attributed to
+  /// `requester` if still attached.
   void ScheduleFaultIn(const std::vector<size_t>& parts, Stem* requester);
+  /// Drops the self-reference of pending fault-ins whose events will never
+  /// run (the simulation is gone); may destroy this storage.
+  void ReleaseFaultKeepAlive();
 
   size_t partitions_spilled() const;
   size_t partitions_resident() const;
@@ -156,7 +160,8 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
  private:
   struct Spill;  // defined in stem_storage.cc; keeps spill includes out
 
-  void CompleteFaultIn(size_t p);
+  /// The fault-in event of partition `p`.
+  void CompleteFaultIn(uint64_t p);
   SpillResult RestorePartitionLocked(size_t p);
 
   std::string table_name_;
@@ -175,6 +180,9 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
   std::vector<Stem*> attached_;
 
   std::unique_ptr<Spill> spill_;
+  /// Set while fault-in events are pending (see ScheduleFaultIn).
+  std::shared_ptr<StemStorage> fault_keepalive_;
+  MemberEvent<&StemStorage::CompleteFaultIn> fault_done_{this};
 };
 
 }  // namespace stems

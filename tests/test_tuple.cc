@@ -2,6 +2,9 @@
 // §3.1, §3.5).
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "runtime/metrics.h"
 #include "runtime/tuple.h"
 
@@ -91,6 +94,99 @@ TEST(TupleTest, EotDetection) {
   TuplePtr t = Tuple::MakeSingleton(
       2, 0, MakeEotRowRef({Value::Int64(1), Value::Eot()}));
   EXPECT_TRUE(t->IsEot());
+}
+
+TEST(TupleTest, EotBitFollowsSetComponent) {
+  TuplePtr t = Tuple::MakeSingleton(3, 0, MakeRow({Value::Int64(1)}));
+  EXPECT_FALSE(t->IsEot());
+  TuplePtr eot = t->ConcatWith(2, MakeEotRowRef({Value::Eot()}), 1);
+  EXPECT_TRUE(eot->IsEot());
+  EXPECT_FALSE(t->IsEot());
+  // Clearing the EOT component clears the bit.
+  eot->SetComponent(2, nullptr);
+  EXPECT_FALSE(eot->IsEot());
+  eot->SetComponent(1, MakeEotRowRef({Value::Eot()}));
+  EXPECT_TRUE(eot->IsEot());
+  eot->SetComponent(1, MakeRow({Value::Int64(3)}));
+  EXPECT_FALSE(eot->IsEot());
+}
+
+// Queries wider than Tuple::kInlineSlots keep their components outside the
+// tuple block; every derivation must behave as it does inline.
+class WideTupleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(WideTupleTest, DerivationsMatchInlineBehaviour) {
+  const int n = GetParam();
+  ASSERT_GT(n, Tuple::kInlineSlots);
+  const int last = n - 1;
+  TuplePtr a = Tuple::MakeSingleton(n, last, MakeRow({Value::Int64(7)}));
+  EXPECT_EQ(a->num_slots(), n);
+  EXPECT_EQ(a->SingletonSlot(), last);
+  EXPECT_EQ(a->ValueAt(last, 0)->AsInt64(), 7);
+  EXPECT_EQ(a->ValueAt(0, 0), nullptr);
+  EXPECT_FALSE(a->IsEot());
+  EXPECT_EQ(a->Timestamp(), kTsInfinity);
+  a->SetBuilt(last, 3);
+  EXPECT_EQ(a->Timestamp(), 3u);
+
+  // Concatenate a component into every other slot.
+  TuplePtr t = a;
+  for (int s = 0; s < last; ++s) {
+    t = t->ConcatWith(s, MakeRow({Value::Int64(s)}),
+                      static_cast<BuildTs>(10 + s));
+  }
+  EXPECT_EQ(t->SpanSize(), n);
+  EXPECT_EQ(t->Timestamp(), static_cast<BuildTs>(10 + last - 1));
+  EXPECT_TRUE(t->AllComponentsBuilt());
+  for (int s = 0; s < last; ++s) EXPECT_EQ(t->ValueAt(s, 0)->AsInt64(), s);
+  EXPECT_EQ(t->ValueAt(last, 0)->AsInt64(), 7);
+  EXPECT_EQ(a->SpanSize(), 1);  // the source is untouched
+
+  TuplePtr eot = a->ConcatWith(0, MakeEotRowRef({Value::Eot()}), 1);
+  EXPECT_TRUE(eot->IsEot());
+  EXPECT_FALSE(a->IsEot());
+
+  TuplePtr moved = a->RetargetSingleton(last - 1);
+  EXPECT_EQ(moved->SingletonSlot(), last - 1);
+  EXPECT_EQ(moved->component(last - 1).timestamp, 3u);
+  EXPECT_EQ(moved->ValueAt(last - 1, 0)->AsInt64(), 7);
+  EXPECT_EQ(moved->Timestamp(), 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Slots, WideTupleTest, ::testing::Values(5, 64));
+
+TEST(TupleBlockTest, TupleBuiltOnAnotherThreadDiesOnThisOne) {
+  // The block returns to the freeing thread's cache; the building thread's
+  // cache is drained when it exits.
+  TuplePtr t;
+  std::thread builder([&t] {
+    TuplePtr a = Tuple::MakeSingleton(3, 0, MakeRow({Value::Int64(1)}));
+    t = a->ConcatWith(1, MakeRow({Value::Int64(2)}), 4);
+  });
+  builder.join();
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->SpanSize(), 2);
+  EXPECT_EQ(t->ValueAt(1, 0)->AsInt64(), 2);
+  t.reset();
+  // Reuse on this thread: a fresh tuple is fully reset.
+  TuplePtr fresh = Tuple::Make(3);
+  EXPECT_EQ(fresh->spanned_mask(), 0u);
+  EXPECT_FALSE(fresh->IsEot());
+}
+
+TEST(TupleBlockTest, ThreadCacheIsCapped) {
+  {
+    std::vector<TuplePtr> live;
+    live.reserve(10000);
+    for (int i = 0; i < 10000; ++i) {
+      live.push_back(
+          Tuple::MakeSingleton(2, i % 2, MakeRow({Value::Int64(i)})));
+    }
+  }
+  EXPECT_LE(Tuple::ThreadCachedBlocks(), Tuple::kBlockCacheCap);
+  if (Tuple::kCachesBlocks) {
+    EXPECT_EQ(Tuple::ThreadCachedBlocks(), Tuple::kBlockCacheCap);
+  }
 }
 
 TEST(TupleTest, TimestampAuthorityMonotone) {
